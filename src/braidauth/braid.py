@@ -248,9 +248,12 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 # The left-weighting engine
 # ---------------------------------------------------------------------------
 
-# Pair rebalancing is the innermost operation of every product; identical
-# factor pairs recur constantly, so results are memoized. None means the pair
-# was already left weighted.
+# One engine left-weights everything: _weld joins two left-weighted factor
+# sequences by rebalancing adjacent pairs. multiply welds its operands, and
+# normalize welds a word's factors on one at a time; inverse needs no
+# rebalancing. Pair rebalancing is the innermost operation of every product and
+# identical factor pairs recur constantly, so results are memoized. None means
+# the pair was already left weighted.
 _PAIR_MEMO: dict[tuple[PermTable, PermTable], "tuple[PermTable, PermTable] | None"] = {}
 _PAIR_MEMO_LIMIT = 1 << 17
 _MISS = object()
@@ -292,31 +295,6 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
     return result
 
 
-def _left_weight_fixpoint(n: int, factors: list[PermTable]) -> tuple[int, tuple[PermTable, ...]]:
-    """Rebalance an arbitrary factor sequence to the unique left-weighted form
-    by whole left-to-right passes. Returns (half twists absorbed, factors)."""
-    id_table = perms.identity(n)
-    twist_table = perms.reversal(n)
-    absorbed = 0
-    while True:
-        changed = False
-        for j in range(len(factors) - 1):
-            res = _rebalance_pair(factors[j], factors[j + 1])
-            if res is not None:
-                factors[j], factors[j + 1] = res
-                changed = True
-        kept = [f for f in factors if f != id_table]
-        if len(kept) != len(factors):
-            changed = True
-        while kept and kept[0] == twist_table:
-            kept.pop(0)
-            absorbed += 1
-            changed = True
-        factors = kept
-        if not changed:
-            return absorbed, tuple(factors)
-
-
 def _strip(n: int, factors: list[PermTable]) -> tuple[int, tuple[PermTable, ...]]:
     """Drop leading half twists and trailing identities from a pairwise
     left-weighted sequence (the only places they can sit)."""
@@ -351,9 +329,21 @@ def _weld(n: int, factors: list[PermTable], junction: int) -> tuple[int, tuple[P
     return _strip(n, factors)
 
 
-def _assemble(n: int, inf: int, factors: list[PermTable]) -> CanonicalForm:
-    extra, weighted = _left_weight_fixpoint(n, factors)
-    return CanonicalForm(n, inf + extra, weighted)
+def _twists_to_front(
+    acc: int, pieces: Sequence[tuple[int, PermTable]]
+) -> tuple[int, list[PermTable]]:
+    """Rewrite the product of pieces ``twist^shift * factor``, followed by
+    ``twist^acc``, as one half-twist power and a factor list.
+
+    A factor crossed by an odd number of twists on their way to the front is
+    flipped.
+    """
+    factors: list[PermTable] = []
+    for shift, f in reversed(pieces):
+        factors.append(perms.flip(f) if acc & 1 else f)
+        acc += shift
+    factors.reverse()
+    return acc, factors
 
 
 def normalize(w: BraidWord) -> CanonicalForm:
@@ -362,25 +352,21 @@ def normalize(w: BraidWord) -> CanonicalForm:
     Positive letters become their transposition factor; a negative letter
     becomes a negative half twist followed by the complement factor. Half
     twists migrate to the front through the index-flip automorphism, then the
-    factor sequence is rebalanced to the left-weighted fixpoint.
+    factors are welded one at a time onto a left-weighted prefix.
     """
     n = w.n
-    factors: list[PermTable] = []
-    shifts: list[int] = []
+    pieces = []
     for index, sign in w.letters:
         t = perms.adjacent_transposition(n, index)
-        if sign > 0:
-            factors.append(t)
-            shifts.append(0)
-        else:
-            factors.append(perms.left_complement(t))
-            shifts.append(-1)
-    acc = 0
-    for j in range(len(factors) - 1, -1, -1):
-        if acc & 1:
-            factors[j] = perms.flip(factors[j])
-        acc += shifts[j]
-    return _assemble(n, acc, factors)
+        pieces.append((0, t) if sign > 0 else (-1, perms.left_complement(t)))
+    inf, factors = _twists_to_front(0, pieces)
+    prefix: list[PermTable] = []
+    for f in factors:
+        prefix.append(f)
+        absorbed, weighted = _weld(n, prefix, len(prefix) - 1)
+        inf += absorbed
+        prefix = list(weighted)
+    return CanonicalForm(n, inf, tuple(prefix))
 
 
 def multiply(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
@@ -402,15 +388,16 @@ def multiply(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
 
 
 def inverse(x: CanonicalForm) -> CanonicalForm:
-    """The group inverse."""
-    n = x.n
-    factors = [perms.left_complement(f) for f in reversed(x.factors)]
-    acc = -x.inf
-    for j in range(len(factors) - 1, -1, -1):
-        if acc & 1:
-            factors[j] = perms.flip(factors[j])
-        acc -= 1
-    return _assemble(n, acc, factors)
+    """The group inverse.
+
+    Each factor inverts to a negative half twist followed by its complement.
+    Once the twists are at the front, the reversed complements are already
+    left weighted and contain neither identities nor half twists, so no
+    rebalancing is needed (El-Rifai and Morton 1994).
+    """
+    pieces = [(-1, perms.left_complement(f)) for f in reversed(x.factors)]
+    inf, factors = _twists_to_front(-x.inf, pieces)
+    return CanonicalForm(x.n, inf, tuple(factors))
 
 
 @functools.lru_cache(maxsize=4096)

@@ -2,13 +2,15 @@
 
 Exit codes: 0 accept/success, 1 reject or failed selftest, 2 usage error,
 3 file I/O error, 4 network or protocol error. The environment variable
-BRAIDAUTH_SEED overrides --seed everywhere.
+BRAIDAUTH_SEED overrides --seed everywhere. Without either, verify-serve draws
+its challenge seed from OS entropy, so challenges do not repeat across restarts.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import secrets
 import sys
 
 from . import oracle
@@ -41,6 +43,8 @@ def _seed_of(args) -> int:
             return int(env)
         except ValueError:
             raise InvalidParameterError(f"BRAIDAUTH_SEED must be an integer, got {env!r}")
+    if args.seed is None:
+        return secrets.randbits(64)
     return args.seed
 
 
@@ -125,19 +129,23 @@ def cmd_prove(args) -> int:
     return EXIT_REJECT
 
 
+def _verifier_of(args) -> VerifierServer:
+    return VerifierServer(
+        host=args.host,
+        port=args.port,
+        rounds=args.rounds,
+        word_length=args.len,
+        min_canonical_length=args.minlen if args.minlen is not None else 3,
+        seed=_seed_of(args),
+        expect_scheme=args.scheme,
+        max_sessions=args.max_sessions,
+        log=lambda m: print(m),
+    )
+
+
 def cmd_verify_serve(args) -> int:
     try:
-        server = VerifierServer(
-            host=args.host,
-            port=args.port,
-            rounds=args.rounds,
-            word_length=args.len,
-            min_canonical_length=args.minlen if args.minlen is not None else 3,
-            seed=_seed_of(args),
-            expect_scheme=args.scheme,
-            max_sessions=args.max_sessions,
-            log=lambda m: print(m),
-        )
+        server = _verifier_of(args)
     except (BraidAuthError, OSError) as exc:
         return _fail(str(exc), EXIT_NET)
     host, port = server.address
@@ -266,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--scheme", type=int, choices=(1, 2), default=None,
                     help="refuse clients offering the other scheme")
     vs.add_argument("--max-sessions", type=int, default=None)
-    vs.add_argument("--seed", type=int, default=0)
+    vs.add_argument("--seed", type=int, default=None,
+                    help="replay a fixed challenge stream (default: OS entropy)")
     vs.set_defaults(func=cmd_verify_serve)
 
     rl = subs.add_parser("run-local", help="run an honest in-process session")

@@ -102,7 +102,8 @@ class VerifierServer:
             served += 1
             t = threading.Thread(target=self._serve_connection, args=(conn, peer), daemon=True)
             t.start()
-            self._threads.append(t)
+            # Keep only live threads so a long run does not grow the list.
+            self._threads = [x for x in self._threads if x.is_alive()] + [t]
         for t in self._threads:
             t.join(timeout=10.0)
 

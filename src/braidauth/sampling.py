@@ -110,6 +110,6 @@ def sample_subgroup_word(
 
 def is_hard_instance(x: CanonicalForm, cfg: SamplerConfig) -> bool:
     """Whether a braid is complicated enough to serve as key material:
-    canonical length at or above the configured floor and not a pure power of
-    the half twist."""
-    return len(x.factors) >= cfg.min_canonical_length and len(x.factors) > 0
+    canonical length at or above the configured floor, which is at least 1,
+    so a pure power of the half twist never qualifies."""
+    return len(x.factors) >= cfg.min_canonical_length

@@ -13,6 +13,13 @@ def cf(n, text):
     return B.normalize(B.word(n, text))
 
 
+def wide_forms(rng):
+    """Forms at the widths the benchmark runs, from words of 64 to 128 letters."""
+    for n, count in ((16, 3), (64, 2)):
+        for _ in range(count):
+            yield B.normalize(random_braid_word(rng, n, rng.randrange(64, 129)))
+
+
 # ---------------------------------------------------------------------------
 # Construction and parsing
 # ---------------------------------------------------------------------------
@@ -128,6 +135,10 @@ def test_multiply_examples(rng):
         for _ in range(10):
             x = B.normalize(random_braid_word(rng, n, 8))
             assert B.multiply(x, B.inverse(x)) == B.identity(n)
+            assert B.multiply(B.inverse(x), x) == B.identity(n)
+    for x in wide_forms(rng):
+        assert B.multiply(x, B.inverse(x)) == B.identity(x.n)
+        assert B.multiply(B.inverse(x), x) == B.identity(x.n)
     assert B.multiply(cf(4, "s1"), cf(4, "s3")) == B.multiply(cf(4, "s3"), cf(4, "s1"))
     with pytest.raises(InvalidParameterError):
         B.multiply(B.identity(3), B.identity(4))
@@ -137,6 +148,10 @@ def test_inverse_examples():
     assert B.inverse(B.identity(5)) == B.identity(5)
     assert B.inverse(cf(3, "s1")) == B.CanonicalForm(3, -1, ((2, 0, 1),))
     assert B.inverse(cf(3, "s1")) == cf(3, "S1")
+    # odd inf on both sides, so every complement is flipped on its way out
+    x = cf(4, "S1 s2 s3 s2")
+    assert x == B.CanonicalForm(4, -1, ((3, 2, 0, 1), (0, 3, 2, 1)))
+    assert B.inverse(x) == B.CanonicalForm(4, -1, ((1, 2, 3, 0), (1, 0, 2, 3)))
 
 
 def test_inverse_involution(rng):
@@ -144,6 +159,8 @@ def test_inverse_involution(rng):
         for _ in range(15):
             x = B.normalize(random_braid_word(rng, n, 10))
             assert B.inverse(B.inverse(x)) == x
+    for x in wide_forms(rng):
+        assert B.inverse(B.inverse(x)) == x
 
 
 def test_power_examples():
@@ -220,6 +237,26 @@ def test_idempotence_of_reexpansion(rng):
         for _ in range(30):
             x = B.normalize(random_braid_word(rng, n, 12))
             assert B.normalize(B.to_braidword(x)) == x
+    for x in wide_forms(rng):
+        assert B.normalize(B.to_braidword(x)) == x
+
+
+def test_normalize_of_concatenation_is_the_product(rng):
+    # Mostly negative letters make half twists surface in the middle of the
+    # fold, where they must be absorbed into inf.
+    def mostly_negative_word(n, longest):
+        letters = tuple(
+            B.GeneratorLetter(rng.randrange(1, n), -1 if rng.random() < 0.85 else 1)
+            for _ in range(rng.randrange(1, longest + 1))
+        )
+        return B.BraidWord(n, letters)
+
+    for n, count, longest in ((3, 40, 12), (8, 20, 24), (16, 6, 64), (64, 3, 64)):
+        for _ in range(count):
+            u = mostly_negative_word(n, longest)
+            v = mostly_negative_word(n, longest)
+            uv = B.BraidWord(n, u.letters + v.letters)
+            assert B.normalize(uv) == B.multiply(B.normalize(u), B.normalize(v))
 
 
 def test_torsion_freeness_spot_check(rng):

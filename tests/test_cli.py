@@ -1,9 +1,14 @@
+import socket
 import subprocess
 import sys
 
 import braidauth.braid as braid_module
-from braidauth.cli import main
+import braidauth.protocol as P
+import braidauth.wire as W
+from braidauth.cli import _verifier_of, build_parser, main
 from braidauth.netpair import VerifierServer
+from braidauth.rng import DeterministicRng
+from braidauth.sampling import SamplerConfig
 
 
 def run_cli(args, capsys):
@@ -240,6 +245,29 @@ def test_scheme_mismatch_is_network_error(tmp_path, capsys):
         assert "error" in err
     finally:
         server.stop()
+
+
+def first_challenge(serve_args, hello):
+    """The first CHALLENGE payload a verifier configured as by
+    ``verify-serve <serve_args>`` sends in answer to ``hello``."""
+    server = _verifier_of(build_parser().parse_args(["verify-serve", *serve_args]))
+    server.start()
+    try:
+        with socket.create_connection(server.address, timeout=10) as conn:
+            W.send_frame(conn, W.MSG_HELLO, hello)
+            msg_type, payload = W.recv_frame(conn)
+    finally:
+        server.stop()
+    assert msg_type == W.MSG_CHALLENGE
+    return payload
+
+
+def test_verify_serve_challenges_differ_across_restarts_unless_seeded(monkeypatch):
+    monkeypatch.delenv("BRAIDAUTH_SEED", raising=False)
+    cfg = SamplerConfig(n=8, word_length=16, min_canonical_length=2, seed=3)
+    hello = W.pack_hello(P.keygen1(cfg, 2, 2, DeterministicRng(3, "kg")).public)
+    assert first_challenge([], hello) != first_challenge([], hello)
+    assert first_challenge(["--seed", "5"], hello) == first_challenge(["--seed", "5"], hello)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -251,3 +252,25 @@ def test_max_sessions_stops_listener():
     thread.join(timeout=10)
     assert not thread.is_alive()
     srv.stop()
+
+
+def test_finished_session_threads_are_pruned():
+    srv = VerifierServer(rounds=1, word_length=8, seed=3)
+    srv.start()
+    host, port = srv.address
+    keys = make_keys(1)
+    try:
+        for _ in range(50):
+            assert all(v.accepted for v in run_prover(host, port, keys))
+        for t in list(srv._threads):
+            t.join(timeout=10)
+        # The next accept prunes every finished thread; this idle connection
+        # keeps its own session thread alive until it closes.
+        with socket.create_connection((host, port), timeout=10):
+            deadline = time.monotonic() + 10
+            while not (srv._threads and all(t.is_alive() for t in srv._threads)):
+                assert time.monotonic() < deadline, f"{len(srv._threads)} threads kept"
+                time.sleep(0.01)
+            assert len(srv._threads) == 1
+    finally:
+        srv.stop()
