@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import permutations as perms
@@ -250,46 +251,80 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 
 # One engine left-weights everything: _weld joins two left-weighted factor
 # sequences by rebalancing adjacent pairs. multiply welds its operands, and
-# normalize welds a word's factors on one at a time; inverse needs no
-# rebalancing. Pair rebalancing is the innermost operation of every product and
-# identical factor pairs recur constantly, so results are memoized. None means
-# the pair was already left weighted.
+# normalize welds a word's pieces on one at a time; inverse needs no
+# rebalancing. A pair (A, B) is rebalanced in one step, to (A M, M^-1 B) with
+# M the meet of the right complement of A and B: the largest permutation braid
+# that A can absorb from the front of B (El-Rifai and Morton 1994; Epstein et
+# al., Word Processing in Groups, ch. 9). The meet is computed on strand orders,
+# never one generator at a time.
+#
+# Pair rebalancing is the innermost operation of every product and identical
+# factor pairs recur constantly, so results are memoized. None means the pair
+# was already left weighted. The memo holds at most _PAIR_MEMO_LIMIT pairs and
+# at most _PAIR_MEMO_BUDGET table entries (pairs times strand count), so its
+# size stays bounded at any width.
 _PAIR_MEMO: dict[tuple[PermTable, PermTable], "tuple[PermTable, PermTable] | None"] = {}
 _PAIR_MEMO_LIMIT = 1 << 17
+_PAIR_MEMO_BUDGET = 1 << 23
 _MISS = object()
 
 
 def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] | None":
-    """Move generators from the front of b to the back of a until the pair is
-    left weighted, smallest eligible index first. Returns the new pair, or
-    None when nothing moved."""
+    """Left-weight the pair (a, b): return (a M, M^-1 b) for M = ∂a ∧ b, or
+    None when M is the identity, that is when the pair is already left weighted.
+
+    Here ∂a is the right complement (a ∂a = Δ) and ∧ is the meet in the
+    prefix order. A permutation braid is fixed by which pairs of strands it
+    keeps in order, and the meet keeps in order exactly the pairs x < y joined
+    by a chain x < z1 < ... < y in which every step is kept in order by ∂a or
+    by b. Strand x precedes y (x < y) in ∂a iff a^-1 inverts them, and in b
+    iff b[x] < b[y]. ``reach[x]`` is a bitmask shifted down by x: bit 0 is x
+    itself and bit j is set when x precedes x + j. It is closed over strands
+    in descending order by taking in the reach of each direct successor. M's
+    strand order is then built by inserting each x just after the strands
+    above x that it does not reach.
+    """
     cached = _PAIR_MEMO.get((a, b), _MISS)
     if cached is not _MISS:
         return cached  # type: ignore[return-value]
     n = len(a)
-    la = list(a)
-    lb = list(b)
-    apos = [0] * n
-    for pos, v in enumerate(la):
-        apos[v] = pos
-    changed = False
-    i = 0
-    last = n - 1
-    while i < last:
-        # Eligible: i descends in b but not in a^{-1}.
-        if lb[i] > lb[i + 1] and apos[i] < apos[i + 1]:
-            lb[i], lb[i + 1] = lb[i + 1], lb[i]
-            p, q = apos[i], apos[i + 1]
-            la[p], la[q] = i + 1, i
-            apos[i], apos[i + 1] = q, p
-            changed = True
-            # A move can newly expose index i-1 only; resume one step back.
-            if i:
-                i -= 1
-        else:
-            i += 1
-    result = (tuple(la), tuple(lb)) if changed else None
-    if len(_PAIR_MEMO) >= _PAIR_MEMO_LIMIT:
+    reach = [0] * n
+    # ∂a keeps x = a[s] before every a[s'] with s' < s.
+    seen = 0
+    for x in a:
+        seen |= 1 << x
+        reach[x] = seen
+    # b keeps x before every strand with a larger image.
+    b_inv = [0] * n
+    for s, v in enumerate(b):
+        b_inv[v] = s
+    seen = 0
+    for x in reversed(b_inv):
+        seen |= 1 << x
+        reach[x] = (reach[x] | seen) >> x
+    order: list[int] = []
+    moved = 0
+    for x in range(n - 1, -1, -1):
+        r = reach[x]
+        pending = r ^ 1
+        while pending:
+            j = (pending & -pending).bit_length() - 1
+            rj = reach[x + j] << j
+            r |= rj
+            pending &= ~rj
+            reach[x] = r
+        k = n - x - r.bit_count()
+        moved |= k
+        order.insert(k, x)
+    if moved:
+        m = b_inv
+        for k, x in enumerate(order):
+            m[x] = k
+        # With n >= 2 keys, itemgetter returns the gathered tuple.
+        result = (itemgetter(*a)(m), itemgetter(*order)(b))
+    else:
+        result = None
+    if len(_PAIR_MEMO) >= min(_PAIR_MEMO_LIMIT, _PAIR_MEMO_BUDGET // n):
         _PAIR_MEMO.clear()
     _PAIR_MEMO[(a, b)] = result
     return result
@@ -346,19 +381,41 @@ def _twists_to_front(
     return acc, factors
 
 
+def _run_piece(sign: int, run: list[int]) -> tuple[int, PermTable]:
+    """The piece ``twist^shift * factor`` of a same-sign run held as in
+    :func:`normalize`. The left complement of a table is its inverse read
+    backwards."""
+    inv = perms.inverse(run)
+    return (0, inv) if sign > 0 else (-1, inv[::-1])
+
+
 def normalize(w: BraidWord) -> CanonicalForm:
     """The unique left canonical form of a word.
 
-    Positive letters become their transposition factor; a negative letter
-    becomes a negative half twist followed by the complement factor. Half
-    twists migrate to the front through the index-flip automorphism, then the
-    factors are welded one at a time onto a left-weighted prefix.
+    Each maximal run of same-sign letters whose product is a permutation braid
+    becomes one piece. A positive run is its permutation factor. A negative
+    run is the inverse of its mirror (the run's generators in reverse order),
+    so it becomes a negative half twist followed by the mirror's left
+    complement. Half twists migrate to the front through the index-flip
+    automorphism, then the factors are welded one at a time onto a
+    left-weighted prefix.
     """
     n = w.n
     pieces = []
+    # A positive run is held as its inverse table and grows at its end while
+    # the two strands it swaps are still in order there; a negative run's
+    # mirror is held as its table and grows at its front on the same test.
+    run: list[int] = []
+    run_sign = 0
     for index, sign in w.letters:
-        t = perms.adjacent_transposition(n, index)
-        pieces.append((0, t) if sign > 0 else (-1, perms.left_complement(t)))
+        i = index - 1
+        if sign != run_sign or run[i] > run[i + 1]:
+            if run_sign:
+                pieces.append(_run_piece(run_sign, run))
+            run, run_sign = list(range(n)), sign
+        run[i], run[i + 1] = run[i + 1], run[i]
+    if run_sign:
+        pieces.append(_run_piece(run_sign, run))
     inf, factors = _twists_to_front(0, pieces)
     prefix: list[PermTable] = []
     for f in factors:

@@ -36,6 +36,11 @@ from .protocol import (
 from .rng import DeterministicRng
 from .sampling import SamplerConfig
 
+# The verifier raises braids to the exponents the client's HELLO names, and
+# the cost of power grows with the exponent, so larger exponents are refused
+# before any braid arithmetic runs.
+MAX_EXPONENT = 64
+
 
 @dataclasses.dataclass(frozen=True)
 class RoundVerdict:
@@ -167,6 +172,12 @@ class VerifierServer:
         if self.expect_scheme is not None and scheme != self.expect_scheme:
             self._refuse(
                 conn, wire.ERR_PROTOCOL, f"scheme {scheme} offered, {self.expect_scheme} required"
+            )
+            return
+        exponents = (pub.r, pub.s_exp) if scheme == 1 else (pub.e, pub.f)
+        if max(exponents) > MAX_EXPONENT:
+            self._refuse(
+                conn, wire.ERR_PROTOCOL, f"exponents {exponents} exceed {MAX_EXPONENT}"
             )
             return
 

@@ -46,14 +46,6 @@ def is_reversal(table: Sequence[int]) -> bool:
     return all(table[i] == n - 1 - i for i in range(n))
 
 
-def adjacent_transposition(n: int, index: int) -> PermTable:
-    """The permutation of the generator with the given 1-based index: swaps
-    positions index-1 and index."""
-    table = list(range(n))
-    table[index - 1], table[index] = table[index], table[index - 1]
-    return tuple(table)
-
-
 def inverse(table: Sequence[int]) -> PermTable:
     inv = [0] * len(table)
     for j, v in enumerate(table):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import braidauth.braid as B
+import braidauth.permutations as perms
 from braidauth.errors import InvalidParameterError
 from braidauth.rewriting import RewritingClosure, free_reduce
 from burau_ref import burau_equal, burau_matrix
@@ -259,6 +260,61 @@ def test_normalize_of_concatenation_is_the_product(rng):
             assert B.normalize(uv) == B.multiply(B.normalize(u), B.normalize(v))
 
 
+def _single_letter_fold(w):
+    acc = B.identity(w.n)
+    for index, sign in w.letters:
+        acc = B.multiply(acc, B.generator(w.n, index, sign))
+    return acc
+
+
+def test_normalize_of_long_same_sign_runs(rng):
+    # Runs that spell whole half twists, simple runs that end exactly where
+    # the next letter would repeat a crossing, and random one-sign stretches.
+    for n in (2, 3, 8, 16):
+        delta = B.delta_word(n).letters
+        delta_inv = tuple(B.GeneratorLetter(i, -1) for i, _ in reversed(delta))
+        for _ in range(12 if n > 2 else 4):
+            letters = []
+            for _ in range(rng.randrange(1, 5)):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    letters.extend(rng.choice((delta, delta_inv)))
+                elif kind == 1:
+                    table = list(range(n))
+                    rng.shuffle(table)
+                    sign = rng.choice((1, -1))
+                    for index, _ in B.permutation_to_braidword(tuple(table)).letters:
+                        letters.append(B.GeneratorLetter(index, sign))
+                else:
+                    sign = rng.choice((1, -1))
+                    for _ in range(rng.randrange(1, 3 * n)):
+                        letters.append(B.GeneratorLetter(rng.randrange(1, n), sign))
+            w = B.BraidWord(n, tuple(letters))
+            assert B.normalize(w) == _single_letter_fold(w)
+    assert B.normalize(B.BraidWord(5, B.delta_word(5).letters * 2)) == B.CanonicalForm(5, 2, ())
+
+
+def test_reexpansion_of_negative_twists_is_cheap(rng, monkeypatch):
+    # Each half twist of to_braidword is one run, and each factor's word is
+    # one more, so re-normalizing welds one piece per factor and per twist.
+    calls = []
+    real = B._rebalance_pair
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(B, "_rebalance_pair", counting)
+    n = 64
+    for shift in (2, 3, 5):
+        y = B.normalize(random_braid_word(rng, n, 64))
+        x = B.CanonicalForm(n, min(y.inf, 0) - shift, y.factors)
+        assert x.inf <= -2
+        calls.clear()
+        assert B.normalize(B.to_braidword(x)) == x
+        assert len(calls) <= len(x.factors) + abs(x.inf)
+
+
 def test_torsion_freeness_spot_check(rng):
     checked = 0
     while checked < 100:
@@ -276,6 +332,89 @@ def test_associativity(rng):
         for _ in range(20):
             x, y, z = (B.normalize(random_braid_word(rng, n, 8)) for _ in range(3))
             assert B.multiply(B.multiply(x, y), z) == B.multiply(x, B.multiply(y, z))
+
+
+# ---------------------------------------------------------------------------
+# The pair kernel against the generator-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def _reference_rebalance(a, b):
+    """Move generators from the front of b to the back of a until the pair is
+    left weighted, smallest eligible index first; None when nothing moved."""
+    n = len(a)
+    la = list(a)
+    lb = list(b)
+    apos = [0] * n
+    for pos, v in enumerate(la):
+        apos[v] = pos
+    changed = False
+    i = 0
+    while i < n - 1:
+        # Eligible: i descends in b but not in a^{-1}.
+        if lb[i] > lb[i + 1] and apos[i] < apos[i + 1]:
+            lb[i], lb[i + 1] = lb[i + 1], lb[i]
+            p, q = apos[i], apos[i + 1]
+            la[p], la[q] = i + 1, i
+            apos[i], apos[i + 1] = q, p
+            changed = True
+            # A move can newly expose index i-1 only; resume one step back.
+            if i:
+                i -= 1
+        else:
+            i += 1
+    return (tuple(la), tuple(lb)) if changed else None
+
+
+def _kernel_cold(a, b):
+    B._PAIR_MEMO.clear()
+    return B._rebalance_pair(a, b)
+
+
+def test_pair_kernel_matches_reference_exhaustive_small():
+    for n in (4, 5):
+        tables = list(itertools.permutations(range(n)))
+        for a in tables:
+            for b in tables:
+                assert _kernel_cold(a, b) == _reference_rebalance(a, b), (a, b)
+
+
+def test_pair_kernel_matches_reference_random(rng):
+    def shuffled(n):
+        table = list(range(n))
+        rng.shuffle(table)
+        return tuple(table)
+
+    for n in (8, 16, 32, 64, 128, 256):
+        for _ in range(2000):
+            a, b = shuffled(n), shuffled(n)
+            assert _kernel_cold(a, b) == _reference_rebalance(a, b), (a, b)
+        # Uniform pairs move little. Factors of a real form, paired with their
+        # neighbours, complements and flips, move much or nothing at all.
+        x = B.normalize(random_braid_word(rng, n, 2 * n))
+        tables = [perms.identity(n), perms.reversal(n)]
+        for f in x.factors[:6]:
+            tables += [f, perms.left_complement(f), perms.flip(f)]
+        for a, b in itertools.product(tables, repeat=2):
+            assert _kernel_cold(a, b) == _reference_rebalance(a, b), (a, b)
+        for a, b in zip(x.factors, x.factors[1:]):
+            assert _kernel_cold(a, b) is None
+
+
+def test_pair_memo_is_bounded_by_table_entries(rng, monkeypatch):
+    def limit(n):
+        return min(B._PAIR_MEMO_LIMIT, B._PAIR_MEMO_BUDGET // n)
+
+    assert limit(8) == limit(64) == 1 << 17
+    assert limit(256) == 1 << 15 and limit(1024) == 1 << 13
+    # A small budget shows the bound at n=256 without filling 2^15 entries.
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", 256 * 40)
+    monkeypatch.setattr(B, "_PAIR_MEMO", {})
+    largest = 0
+    for _ in range(6):
+        B.normalize(random_braid_word(rng, 256, 48))
+        largest = max(largest, len(B._PAIR_MEMO))
+        assert len(B._PAIR_MEMO) <= 40
+    assert largest > 20
 
 
 # ---------------------------------------------------------------------------

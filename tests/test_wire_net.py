@@ -9,7 +9,7 @@ import braidauth.protocol as P
 import braidauth.wire as W
 from braidauth.errors import FrameError
 from braidauth.hashing import serialize
-from braidauth.netpair import ProverError, VerifierServer, run_prover
+from braidauth.netpair import MAX_EXPONENT, ProverError, VerifierServer, run_prover
 from braidauth.rng import DeterministicRng
 from braidauth.sampling import SamplerConfig
 
@@ -159,6 +159,32 @@ def test_non_hello_first_frame_is_protocol_error(server):
         assert frame is not None
         assert frame[0] == W.MSG_ERROR
         assert frame[1] == bytes([W.ERR_PROTOCOL])
+
+
+def _first_reply_to_hello(server, pub):
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=10) as conn:
+        t = time.perf_counter()
+        W.send_frame(conn, W.MSG_HELLO, W.pack_hello(pub))
+        frame = W.recv_frame(conn)
+        return frame, time.perf_counter() - t
+
+
+def test_oversized_exponents_are_refused_before_any_power(server):
+    pub1 = make_keys(1).public
+    pub2 = make_keys(2).public
+    for pub in (
+        P.SchemeIPublic(pub1.n, 2**32 - 1, pub1.s_exp, pub1.X),
+        P.SchemeIPublic(pub1.n, pub1.r, MAX_EXPONENT + 1, pub1.X),
+        P.SchemeIIPublic(pub2.n, pub2.e, 2**32 - 1, pub2.base, pub2.X),
+    ):
+        frame, elapsed = _first_reply_to_hello(server, pub)
+        assert frame == (W.MSG_ERROR, bytes([W.ERR_PROTOCOL]))
+        assert elapsed < 1.0
+    frame, _ = _first_reply_to_hello(
+        server, P.SchemeIPublic(pub1.n, MAX_EXPONENT, pub1.s_exp, pub1.X)
+    )
+    assert frame is not None and frame[0] == W.MSG_CHALLENGE
 
 
 def test_wire_round_trip_of_recorded_session(server):
