@@ -259,11 +259,19 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 # never one generator at a time.
 #
 # Pair rebalancing is the innermost operation of every product and identical
-# factor pairs recur constantly, so results are memoized. None means the pair
-# was already left weighted. The memo holds at most _PAIR_MEMO_LIMIT pairs and
-# at most _PAIR_MEMO_BUDGET table entries (pairs times strand count), so its
-# size stays bounded at any width.
-_PAIR_MEMO: dict[tuple[PermTable, PermTable], "tuple[PermTable, PermTable] | None"] = {}
+# factor pairs recur constantly, so results are memoized, one row per left
+# factor: _PAIR_MEMO[a][b]. None means the pair was already left weighted. The
+# memo holds at most _PAIR_MEMO_LIMIT pairs and at most _PAIR_MEMO_BUDGET table
+# entries (pairs times strand count), so its size stays bounded at any width.
+# The kernel's output tables are interned in _TABLE_POOL, so the memo and the
+# factor lists built from it share one tuple per distinct table, and later
+# lookups with those tables match keys by identity. The pool is emptied with
+# the memo. Session threads share both without a lock: a racing insert may be
+# lost and the count may be off by a few, which costs at most a recomputation
+# or a clear a few pairs early or late.
+_PAIR_MEMO: dict[PermTable, dict[PermTable, "tuple[PermTable, PermTable] | None"]] = {}
+_TABLE_POOL: dict[PermTable, PermTable] = {}
+_pair_memo_count = 0
 _PAIR_MEMO_LIMIT = 1 << 17
 _PAIR_MEMO_BUDGET = 1 << 23
 _MISS = object()
@@ -284,10 +292,20 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
     strand order is then built by inserting each x just after the strands
     above x that it does not reach.
     """
-    cached = _PAIR_MEMO.get((a, b), _MISS)
-    if cached is not _MISS:
-        return cached  # type: ignore[return-value]
+    global _pair_memo_count
+    row = _PAIR_MEMO.get(a)
+    if row is not None:
+        cached = row.get(b, _MISS)
+        if cached is not _MISS:
+            return cached  # type: ignore[return-value]
     n = len(a)
+    if _pair_memo_count >= min(_PAIR_MEMO_LIMIT, _PAIR_MEMO_BUDGET // n):
+        # Reset the count first: an insert another thread makes in between
+        # lands in the memo about to be cleared, not in the fresh one uncounted.
+        _pair_memo_count = 0
+        _PAIR_MEMO.clear()
+        _TABLE_POOL.clear()
+        row = None
     reach = [0] * n
     # ∂a keeps x = a[s] before every a[s'] with s' < s.
     seen = 0
@@ -321,12 +339,16 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
         for k, x in enumerate(order):
             m[x] = k
         # With n >= 2 keys, itemgetter returns the gathered tuple.
-        result = (itemgetter(*a)(m), itemgetter(*order)(b))
+        am = itemgetter(*a)(m)
+        mb = itemgetter(*order)(b)
+        pool = _TABLE_POOL
+        result = (pool.setdefault(am, am), pool.setdefault(mb, mb))
     else:
         result = None
-    if len(_PAIR_MEMO) >= min(_PAIR_MEMO_LIMIT, _PAIR_MEMO_BUDGET // n):
-        _PAIR_MEMO.clear()
-    _PAIR_MEMO[(a, b)] = result
+    if row is None:
+        row = _PAIR_MEMO.setdefault(a, {})
+    row[b] = result
+    _pair_memo_count += 1
     return result
 
 
@@ -457,12 +479,15 @@ def inverse(x: CanonicalForm) -> CanonicalForm:
     return CanonicalForm(x.n, inf, tuple(factors))
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=256)
 def power(x: CanonicalForm, e: int) -> CanonicalForm:
     """The e-fold product, e >= 0. Use :func:`inverse` first for negative powers.
 
     Cached: protocol rounds raise the same braid to the same small exponent on
-    both sides of the exchange.
+    both sides of the exchange. The cache keeps the 256 most recently used
+    (braid, exponent) pairs and their powers, the verifier's ephemeral c, d and
+    b among them; that covers the long-term keys in use plus the rounds in
+    flight.
     """
     if not isinstance(e, int) or e < 0:
         raise InvalidParameterError(f"exponent must be a non-negative int, got {e!r}")

@@ -36,10 +36,19 @@ from .protocol import (
 from .rng import DeterministicRng
 from .sampling import SamplerConfig
 
-# The verifier raises braids to the exponents the client's HELLO names, and
-# the cost of power grows with the exponent, so larger exponents are refused
-# before any braid arithmetic runs.
+# The verifier's cost per round grows with the strand count, the exponents and
+# the size of the key the client's HELLO names, so a HELLO over any of these
+# limits is refused before any sampling or braid arithmetic runs. Each limit
+# sits well above what the tests, demos, CLI and benchmark send over TCP
+# (n <= 16, small exponents, keys of at most a few hundred factors):
+# - power loops once per unit of exponent, and its cost grows about
+#   quadratically with it;
+# - 64 strands is the widest the pair memo holds at its full pair count;
+# - 1024 factors bounds the size of X and of scheme 2's base, which every
+#   round multiplies in.
 MAX_EXPONENT = 64
+MAX_SERVED_STRANDS = 64
+MAX_KEY_FACTORS = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +93,7 @@ class VerifierServer:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
-        self._sock.listen(16)
+        self._sock.listen(128)
         self._stopped = threading.Event()
         self._threads: list[threading.Thread] = []
 
@@ -135,6 +144,10 @@ class VerifierServer:
     def _serve_connection(self, conn: socket.socket, peer) -> None:
         try:
             conn.settimeout(30.0)
+            # Each round writes VERDICT then the next CHALLENGE with no read in
+            # between; with Nagle on, the second frame would wait for the
+            # prover's delayed ACK. send_frame writes a frame in one call.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._run_session(conn)
         except (OSError, BraidAuthError):
             pass
@@ -180,6 +193,18 @@ class VerifierServer:
                 conn, wire.ERR_PROTOCOL, f"exponents {exponents} exceed {MAX_EXPONENT}"
             )
             return
+        if pub.n > MAX_SERVED_STRANDS:
+            self._refuse(
+                conn, wire.ERR_PROTOCOL, f"strand count {pub.n} exceeds {MAX_SERVED_STRANDS}"
+            )
+            return
+        key_braids = (pub.X,) if scheme == 1 else (pub.X, pub.base)
+        key_factors = max(len(k.factors) for k in key_braids)
+        if key_factors > MAX_KEY_FACTORS:
+            self._refuse(
+                conn, wire.ERR_PROTOCOL, f"key has {key_factors} factors, over {MAX_KEY_FACTORS}"
+            )
+            return
 
         sampler = SamplerConfig(
             n=pub.n,
@@ -189,7 +214,9 @@ class VerifierServer:
         )
         rng = self._next_session_rng()
         for round_index in range(self.rounds):
-            # Ephemeral challenge secrets live only in this frame's scope.
+            # The challenge secrets are not kept past the round here, but
+            # power's cache holds them and their powers until 256 newer
+            # (braid, exponent) pairs push them out.
             if scheme == 1:
                 ch1 = challenge1(pub, sampler, rng)
                 challenge_braid = ch1.Y
@@ -243,6 +270,7 @@ def run_prover(
     verdicts: list[RoundVerdict] = []
     try:
         with socket.create_connection((host, port), timeout=timeout) as conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             wire.send_frame(conn, wire.MSG_HELLO, wire.pack_hello(keys.public))
             while True:
                 try:

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import pytest
 
@@ -408,13 +410,99 @@ def test_pair_memo_is_bounded_by_table_entries(rng, monkeypatch):
     assert limit(256) == 1 << 15 and limit(1024) == 1 << 13
     # A small budget shows the bound at n=256 without filling 2^15 entries.
     monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", 256 * 40)
-    monkeypatch.setattr(B, "_PAIR_MEMO", {})
+    _fresh_pair_memo(monkeypatch)
     largest = 0
     for _ in range(6):
         B.normalize(random_braid_word(rng, 256, 48))
-        largest = max(largest, len(B._PAIR_MEMO))
-        assert len(B._PAIR_MEMO) <= 40
+        largest = max(largest, _memo_pairs())
+        assert _memo_pairs() <= 40
     assert largest > 20
+
+
+def _fresh_pair_memo(monkeypatch):
+    monkeypatch.setattr(B, "_PAIR_MEMO", {})
+    monkeypatch.setattr(B, "_TABLE_POOL", {})
+    monkeypatch.setattr(B, "_pair_memo_count", 0)
+
+
+def _memo_pairs():
+    return sum(len(row) for row in B._PAIR_MEMO.values())
+
+
+def test_equal_kernel_outputs_are_one_object(monkeypatch):
+    _fresh_pair_memo(monkeypatch)
+    first_seen = {}
+    sources = {}
+    for a in itertools.permutations(range(5)):
+        for b in itertools.permutations(range(5)):
+            res = B._rebalance_pair(a, b)
+            if res is None:
+                continue
+            for table in res:
+                assert first_seen.setdefault(table, table) is table, (a, b)
+                sources.setdefault(table, set()).add((a, b))
+            # A memo hit hands back the stored tables themselves.
+            assert B._rebalance_pair(a, b) is res
+    assert max(len(pairs) for pairs in sources.values()) > 1
+    assert _memo_pairs() == B._pair_memo_count == 120 * 120
+
+
+def test_table_pool_is_emptied_with_the_memo(rng, monkeypatch):
+    _fresh_pair_memo(monkeypatch)
+    monkeypatch.setattr(B, "_PAIR_MEMO_LIMIT", 8)
+
+    def shuffled():
+        table = list(range(8))
+        rng.shuffle(table)
+        return tuple(table)
+
+    moved = set()
+    while len(moved) < 9:
+        a, b = shuffled(), shuffled()
+        if _reference_rebalance(a, b) is not None:
+            moved.add((a, b))
+    *first, last = moved
+    for a, b in first:
+        B._rebalance_pair(a, b)
+    assert len(B._TABLE_POOL) > 2 and _memo_pairs() == B._pair_memo_count == 8
+    res = B._rebalance_pair(*last)
+    assert _memo_pairs() == B._pair_memo_count == 1
+    assert set(B._TABLE_POOL) == set(res)
+
+
+def test_shared_pair_memo_under_thread_switches(rng, monkeypatch):
+    _fresh_pair_memo(monkeypatch)
+    monkeypatch.setattr(B, "_PAIR_MEMO_LIMIT", 64)
+    words = [random_braid_word(rng, 8, 48) for _ in range(30)]
+    expected = [B.normalize(w) for w in words]
+    wrong = []
+    largest = 0
+
+    def work(offset):
+        for k in range(3 * len(words)):
+            i = (offset + 7 * k) % len(words)
+            if B.normalize(words[i]) != expected[i]:
+                wrong.append(i)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            threads = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(8)]
+            for t in threads:
+                t.start()
+            while any(t.is_alive() for t in threads):
+                # list() and map(len) run without a thread switch in between.
+                largest = max(largest, sum(map(len, list(B._PAIR_MEMO.values()))))
+                threads[0].join(timeout=0.001)
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert wrong == []
+    # Threads that passed the limit check together may each add one pair.
+    assert 32 < largest <= 64 + len(threads)
 
 
 # ---------------------------------------------------------------------------

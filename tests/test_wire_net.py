@@ -9,7 +9,15 @@ import braidauth.protocol as P
 import braidauth.wire as W
 from braidauth.errors import FrameError
 from braidauth.hashing import serialize
-from braidauth.netpair import MAX_EXPONENT, ProverError, VerifierServer, run_prover
+from braidauth.braid import CanonicalForm
+from braidauth.netpair import (
+    MAX_EXPONENT,
+    MAX_KEY_FACTORS,
+    MAX_SERVED_STRANDS,
+    ProverError,
+    VerifierServer,
+    run_prover,
+)
 from braidauth.rng import DeterministicRng
 from braidauth.sampling import SamplerConfig
 
@@ -187,6 +195,48 @@ def test_oversized_exponents_are_refused_before_any_power(server):
     assert frame is not None and frame[0] == W.MSG_CHALLENGE
 
 
+def test_over_wide_strand_count_is_refused_before_any_sampling(server):
+    n = MAX_SERVED_STRANDS + 1
+    X = CanonicalForm(n, 1, ((1, 0) + tuple(range(2, n)),))
+    frame, elapsed = _first_reply_to_hello(server, P.SchemeIPublic(n, 2, 2, X))
+    assert frame == (W.MSG_ERROR, bytes([W.ERR_PROTOCOL]))
+    assert elapsed < 1.0
+
+
+def test_oversized_keys_are_refused_before_any_sampling(server):
+    sigma1 = (1, 0) + tuple(range(2, 8))
+    big = CanonicalForm(8, 0, (sigma1,) * (MAX_KEY_FACTORS + 1))
+    pub1 = make_keys(1).public
+    pub2 = make_keys(2).public
+    for pub in (
+        P.SchemeIPublic(8, pub1.r, pub1.s_exp, big),
+        P.SchemeIIPublic(8, pub2.e, pub2.f, big, pub2.X),
+        P.SchemeIIPublic(8, pub2.e, pub2.f, pub2.base, big),
+    ):
+        frame, elapsed = _first_reply_to_hello(server, pub)
+        assert frame == (W.MSG_ERROR, bytes([W.ERR_PROTOCOL]))
+        assert elapsed < 1.0
+    at_limit = CanonicalForm(8, 0, (sigma1,) * MAX_KEY_FACTORS)
+    frame, _ = _first_reply_to_hello(server, P.SchemeIPublic(8, pub1.r, pub1.s_exp, at_limit))
+    assert frame is not None and frame[0] == W.MSG_CHALLENGE
+
+
+def test_session_sockets_send_without_nagle(server, monkeypatch):
+    sent = []
+    send_frame = W.send_frame
+
+    def recording_send_frame(conn, msg_type, payload):
+        sent.append((msg_type, conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)))
+        send_frame(conn, msg_type, payload)
+
+    monkeypatch.setattr(W, "send_frame", recording_send_frame)
+    host, port = server.address
+    assert all(v.accepted for v in run_prover(host, port, make_keys(1)))
+    # The prover writes HELLO and RESPONSE, the verifier CHALLENGE and VERDICT.
+    assert {t for t, _ in sent} == {W.MSG_HELLO, W.MSG_RESPONSE, W.MSG_CHALLENGE, W.MSG_VERDICT}
+    assert all(nodelay for _, nodelay in sent)
+
+
 def test_wire_round_trip_of_recorded_session(server):
     # record the frames of an honest exchange by replaying the prover manually
     host, port = server.address
@@ -249,6 +299,19 @@ def test_fuzzed_frames_never_crash_server():
         assert all(v.accepted for v in verdicts)
     finally:
         srv.stop()
+
+
+def test_back_to_back_connects_do_not_stall(server):
+    host, port = server.address
+    conns = []
+    try:
+        for _ in range(64):
+            t = time.perf_counter()
+            conns.append(socket.create_connection((host, port), timeout=5))
+            assert time.perf_counter() - t < 0.5
+    finally:
+        for conn in conns:
+            conn.close()
 
 
 def test_concurrent_sessions_are_independent(server):
