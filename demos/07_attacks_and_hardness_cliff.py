@@ -1,15 +1,20 @@
 """Impersonation experiments: what an attacker without the secret can do.
 
-Three strategies play the prover role against an honest verifier:
+Four strategies play the prover role against an honest verifier:
 
 - random-digest guesses 32 bytes a round,
 - replay answers fresh challenges with digests from an eavesdropped session,
 - root-attack searches the strand blocks for secrets matching the public key
-  and, if it finds them, simply plays honestly.
+  and, if it finds them, simply plays honestly,
+- split forgets strands of the public key: the lower strands of scheme 1's
+  X = a^r * b^s are a^r and the upper ones b^s, since neither block crosses
+  the other, and a^r * Y * b^s is the honest answer.
 
-The root attack is the interesting one: at deliberately broken toy sizes the
-search succeeds every time, at moderate sizes the same code drowns. The
-scheme's security is exactly the infeasibility of that search.
+At deliberately broken toy sizes the root search succeeds every time, at
+moderate sizes the same code drowns. That cliff is not what scheme 1's
+security rests on: the split needs no root at all and wins scheme 1 at the
+working size too. Scheme 2's base crosses the blocks, so the split gets
+nowhere there, but no proof says that scheme 2 resists every other attack.
 """
 
 import braidauth as ba
@@ -49,10 +54,19 @@ reports.append(
     )
 )
 
+# -- the strand split: no root needed for scheme 1 ---------------------------
+
+keys2 = P.keygen2(cfg, 2, 2, DeterministicRng(cfg.seed, "kg"))
+for target in (keys, keys2):
+    reports.append(
+        O.impersonation_experiment(target, O.STRATEGY_SPLIT, 20, DeterministicRng(46), sampler=cfg)
+    )
+
 print("toy parameters:", toy_cfg.echo())
 print("working parameters:", cfg.echo())
 print()
 print(O.report_table(reports))
+print("(split rows: the scheme 1 key above, a scheme 2 key of the same size below)")
 print()
 for rep in reports:
     if rep.note:

@@ -58,12 +58,8 @@ def _sampler_of(args, n: int) -> SamplerConfig:
 
 def _check_scheme_params(args) -> tuple[int, int]:
     """Validate and return the exponent pair for the selected scheme."""
-    if args.scheme == 1:
-        exps = (args.r, args.s)
-        names = ("r", "s")
-    else:
-        exps = (args.e, args.f)
-        names = ("e", "f")
+    names = P.SCHEMES[args.scheme].exponent_names
+    exps = tuple(getattr(args, name) for name in names)
     for name, value in zip(names, exps):
         if value < 2:
             raise InvalidParameterError(f"{name} must be >= 2")
@@ -72,10 +68,7 @@ def _check_scheme_params(args) -> tuple[int, int]:
 
 def _keygen(args, rng: DeterministicRng):
     cfg = _sampler_of(args, args.n)
-    exp1, exp2 = _check_scheme_params(args)
-    if args.scheme == 1:
-        return P.keygen1(cfg, exp1, exp2, rng)
-    return P.keygen2(cfg, exp1, exp2, rng)
+    return P.SCHEMES[args.scheme].keygen(cfg, *_check_scheme_params(args), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +139,8 @@ def _verifier_of(args) -> VerifierServer:
 def cmd_verify_serve(args) -> int:
     try:
         server = _verifier_of(args)
+    except InvalidParameterError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     except (BraidAuthError, OSError) as exc:
         return _fail(str(exc), EXIT_NET)
     host, port = server.address
@@ -182,6 +177,7 @@ _STRATEGY_ALIASES = {
     "replay": oracle.STRATEGY_REPLAY,
     "root": oracle.STRATEGY_ROOT,
     "root-attack": oracle.STRATEGY_ROOT,
+    "split": oracle.STRATEGY_SPLIT,
 }
 
 

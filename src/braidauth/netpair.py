@@ -21,18 +21,7 @@ import threading
 from . import wire
 from .errors import BraidAuthError, FrameError, InvalidParameterError
 from .hashing import serialize
-from .protocol import (
-    Response,
-    SchemeIKeyPair,
-    SchemeIIKeyPair,
-    SchemeIPublic,
-    challenge1,
-    challenge2,
-    respond1,
-    respond2,
-    verify1,
-    verify2,
-)
+from .protocol import Response, SchemeIKeyPair, SchemeIIKeyPair
 from .rng import DeterministicRng
 from .sampling import SamplerConfig
 
@@ -81,9 +70,10 @@ class VerifierServer:
     ):
         if rounds < 1:
             raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
+        # Bad sampler settings fail here; each session sets n from its HELLO.
+        floor = min(min_canonical_length, max(word_length, 1))
+        self._sampler = SamplerConfig(2, word_length, floor)
         self.rounds = rounds
-        self.word_length = word_length
-        self.min_canonical_length = min_canonical_length
         self.expect_scheme = expect_scheme
         self.max_sessions = max_sessions
         self._log = log or (lambda msg: None)
@@ -164,6 +154,21 @@ class VerifierServer:
         except OSError:
             pass
 
+    def _hello_refusal(self, pub) -> str | None:
+        """Why a HELLO is refused before any sampling or braid arithmetic."""
+        scheme = pub.scheme
+        exponents = scheme.exponents(pub)
+        key_factors = max(len(k.factors) for k in scheme.key_braids(pub))
+        if self.expect_scheme not in (None, scheme.number):
+            return f"scheme {scheme.number} offered, {self.expect_scheme} required"
+        if max(exponents) > MAX_EXPONENT:
+            return f"exponents {exponents} exceed {MAX_EXPONENT}"
+        if pub.n > MAX_SERVED_STRANDS:
+            return f"strand count {pub.n} exceeds {MAX_SERVED_STRANDS}"
+        if key_factors > MAX_KEY_FACTORS:
+            return f"key has {key_factors} factors, over {MAX_KEY_FACTORS}"
+        return None
+
     def _run_session(self, conn: socket.socket) -> None:
         try:
             first = wire.recv_frame(conn)
@@ -181,49 +186,19 @@ class VerifierServer:
         except FrameError as exc:
             self._refuse(conn, exc.code, str(exc))
             return
-        scheme = 1 if isinstance(pub, SchemeIPublic) else 2
-        if self.expect_scheme is not None and scheme != self.expect_scheme:
-            self._refuse(
-                conn, wire.ERR_PROTOCOL, f"scheme {scheme} offered, {self.expect_scheme} required"
-            )
-            return
-        exponents = (pub.r, pub.s_exp) if scheme == 1 else (pub.e, pub.f)
-        if max(exponents) > MAX_EXPONENT:
-            self._refuse(
-                conn, wire.ERR_PROTOCOL, f"exponents {exponents} exceed {MAX_EXPONENT}"
-            )
-            return
-        if pub.n > MAX_SERVED_STRANDS:
-            self._refuse(
-                conn, wire.ERR_PROTOCOL, f"strand count {pub.n} exceeds {MAX_SERVED_STRANDS}"
-            )
-            return
-        key_braids = (pub.X,) if scheme == 1 else (pub.X, pub.base)
-        key_factors = max(len(k.factors) for k in key_braids)
-        if key_factors > MAX_KEY_FACTORS:
-            self._refuse(
-                conn, wire.ERR_PROTOCOL, f"key has {key_factors} factors, over {MAX_KEY_FACTORS}"
-            )
+        why = self._hello_refusal(pub)
+        if why is not None:
+            self._refuse(conn, wire.ERR_PROTOCOL, why)
             return
 
-        sampler = SamplerConfig(
-            n=pub.n,
-            word_length=self.word_length,
-            min_canonical_length=min(self.min_canonical_length, max(self.word_length, 1)),
-            seed=0,
-        )
+        sampler = dataclasses.replace(self._sampler, n=pub.n)
         rng = self._next_session_rng()
         for round_index in range(self.rounds):
             # The challenge secrets are not kept past the round here, but
             # power's cache holds them and their powers until 256 newer
             # (braid, exponent) pairs push them out.
-            if scheme == 1:
-                ch1 = challenge1(pub, sampler, rng)
-                challenge_braid = ch1.Y
-            else:
-                ch2 = challenge2(pub, sampler, rng)
-                challenge_braid = ch2.Y
-            wire.send_frame(conn, wire.MSG_CHALLENGE, serialize(challenge_braid))
+            challenge = pub.scheme.challenge(pub, sampler, rng)
+            wire.send_frame(conn, wire.MSG_CHALLENGE, serialize(challenge.Y))
             try:
                 frame = wire.recv_frame(conn)
             except FrameError as exc:
@@ -238,11 +213,7 @@ class VerifierServer:
             if len(payload) != 32:
                 self._refuse(conn, wire.ERR_BAD_LENGTH, f"response payload is {len(payload)} bytes")
                 return
-            response = Response(payload)
-            if scheme == 1:
-                accepted = verify1(pub, ch1.c, ch1.d, response)
-            else:
-                accepted = verify2(pub, ch2.b, response)
+            accepted = pub.scheme.verify(pub, challenge, Response(payload))
             self._log(f"round {round_index + 1}/{self.rounds}: verdict={int(accepted)}")
             wire.send_frame(conn, wire.MSG_VERDICT, wire.pack_verdict(accepted, round_index))
 
@@ -266,7 +237,6 @@ def run_prover(
     an exception.
     """
     log = log or (lambda msg: None)
-    scheme1 = isinstance(keys, SchemeIKeyPair)
     verdicts: list[RoundVerdict] = []
     try:
         with socket.create_connection((host, port), timeout=timeout) as conn:
@@ -281,11 +251,7 @@ def run_prover(
                     break
                 msg_type, payload = frame
                 if msg_type == wire.MSG_CHALLENGE:
-                    challenge_braid = wire.unpack_challenge(payload)
-                    if scheme1:
-                        response = respond1(keys, challenge_braid)
-                    else:
-                        response = respond2(keys, challenge_braid)
+                    response = keys.scheme.respond(keys, wire.unpack_challenge(payload))
                     wire.send_frame(conn, wire.MSG_RESPONSE, response.digest)
                 elif msg_type == wire.MSG_VERDICT:
                     accepted, round_index = wire.unpack_verdict(payload)

@@ -9,16 +9,19 @@ candidate budget and fails loudly when it runs out.
 
 The impersonation experiments run full verifier sessions against a responder
 that holds no secret key: a uniform-digest guesser, a replayer of an
-eavesdropped session, and a root-recovery attacker that searches the strand
+eavesdropped session, a root-recovery attacker that searches the strand
 blocks for the secrets behind the public key and, when it finds them, plays
-the protocol honestly. The last one is the point: it wins exactly when the
-root search is feasible.
+the protocol honestly, and a strand splitter. The root attacker wins exactly
+when the root search is feasible. The splitter needs no root: scheme 1's
+X = a^r * b^s keeps its blocks apart, so its lower strands alone are a^r and
+its upper strands b^s, and it wins scheme 1 at every size. Scheme 2's base
+crosses the blocks, so the split fails there, which proves nothing else.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import braid as braid_ops
 from . import permutations as perms
@@ -26,20 +29,21 @@ from .braid import BraidWord, CanonicalForm, GeneratorLetter, equals, inverse, m
 from .errors import InvalidParameterError, SearchExhausted
 from .hashing import hash_braid
 from .protocol import (
+    SCHEME_I,
+    SCHEME_II,
     Response,
     SchemeIKeyPair,
     SchemeIIKeyPair,
     SessionConfig,
-    challenge1,
-    challenge2,
-    respond1,
-    respond2,
     run_session,
-    verify1,
-    verify2,
 )
 from .rng import DeterministicRng
-from .sampling import SamplerConfig, lower_generator_indices, upper_generator_indices
+from .sampling import (
+    SamplerConfig,
+    iter_reduced_words,
+    lower_generator_indices,
+    upper_generator_indices,
+)
 
 DEFAULT_SEARCH_BUDGET = 200_000
 
@@ -72,28 +76,6 @@ def canonical_exponent_sum(x: CanonicalForm) -> int:
     contributes n(n-1)/2, each factor its inversion count."""
     n = x.n
     return x.inf * (n * (n - 1) // 2) + sum(perms.inversion_count(f) for f in x.factors)
-
-
-def iter_reduced_words(
-    n: int, max_len: int, indices: "range | list[int] | None" = None
-) -> Iterator[tuple[GeneratorLetter, ...]]:
-    """All freely reduced words of length <= max_len, shortest first, then
-    lexicographic (positive sign before negative at equal index)."""
-    pool = list(indices) if indices is not None else list(range(1, n))
-    alphabet = [GeneratorLetter(i, s) for i in sorted(pool) for s in (1, -1)]
-
-    def extend(prefix: tuple[GeneratorLetter, ...], remaining: int):
-        if remaining == 0:
-            yield prefix
-            return
-        last = prefix[-1] if prefix else None
-        for letter in alphabet:
-            if last is not None and letter.index == last.index and letter.sign == -last.sign:
-                continue
-            yield from extend(prefix + (letter,), remaining - 1)
-
-    for length in range(max_len + 1):
-        yield from extend((), length)
 
 
 class _Countdown:
@@ -159,8 +141,9 @@ def brute_force_root(
 STRATEGY_RANDOM = "random-digest"
 STRATEGY_REPLAY = "replay"
 STRATEGY_ROOT = "root-attack"
+STRATEGY_SPLIT = "split"
 
-STRATEGIES = (STRATEGY_RANDOM, STRATEGY_REPLAY, STRATEGY_ROOT)
+STRATEGIES = (STRATEGY_RANDOM, STRATEGY_REPLAY, STRATEGY_ROOT, STRATEGY_SPLIT)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,8 +194,9 @@ def recover_scheme1_secrets(
     """Search the two strand blocks for (a', b') with a'^r * b'^s = X.
 
     Enumerates lower-block candidates; for each, peels its power off X and
-    root-searches the residual over the upper block. The split into two small
-    block searches is exactly what makes the toy parameters fall.
+    root-searches the residual over the upper block. Scheme 1 does not need
+    this search to fall: :func:`forget_strands` reads a^r and b^s off X
+    directly, and those powers are all a prover uses.
     """
     lower = lower_generator_indices(pub.n)
     upper = upper_generator_indices(pub.n)
@@ -227,9 +211,9 @@ def recover_scheme1_secrets(
     return None
 
 
-def recover_scheme2_secret(
+def recover_scheme2_secrets(
     pub, bound: int, *, max_candidates: int = DEFAULT_SEARCH_BUDGET
-) -> "CanonicalForm | None":
+) -> "tuple[CanonicalForm] | None":
     """Search the lower block for a' with a'^e * base * a'^f = X."""
     lower = lower_generator_indices(pub.n)
     countdown = _Countdown(max_candidates)
@@ -238,8 +222,29 @@ def recover_scheme2_secret(
         a = braid_ops.normalize(BraidWord(pub.n, letters))
         candidate = multiply(multiply(power(a, pub.e), pub.base), power(a, pub.f))
         if equals(candidate, pub.X):
-            return a
+            return (a,)
     return None
+
+
+# The root search of each scheme, giving the secrets in key-pair order.
+_ROOT_SEARCHES = {SCHEME_I: recover_scheme1_secrets, SCHEME_II: recover_scheme2_secrets}
+
+
+def forget_strands(x: CanonicalForm, keep: range) -> CanonicalForm:
+    """The braid of the strands in ``keep`` alone: walk a word of x, keep a
+    crossing when both its strands are kept, and re-index it by their rank
+    among the kept strands. On braids that map ``keep`` onto itself, such as
+    scheme 1's block products a * b, this is a homomorphism."""
+    at = list(range(x.n))  # the strand at each position
+    below = [sum(s in keep for s in range(p)) for p in range(x.n)]  # kept strands left of p
+    letters = []
+    for i, sign in braid_ops.to_braidword(x).letters:
+        left, right = at[i - 1], at[i]
+        if left in keep and right in keep:
+            letters.append(GeneratorLetter(keep.start + below[i - 1] + 1, sign))
+        at[i - 1], at[i] = right, left
+        below[i] = below[i - 1] + (right in keep)
+    return braid_ops.normalize(BraidWord(x.n, tuple(letters)))
 
 
 def _make_responder(
@@ -256,7 +261,6 @@ def _make_responder(
     experiment rng, and an eavesdropped transcript ever reach the responder.
     """
     pub = keys.public
-    scheme = 1 if isinstance(keys, SchemeIKeyPair) else 2
 
     if strategy == STRATEGY_RANDOM:
         return (lambda Y, k: rng.randbytes(32)), "uniform 32-byte guesses"
@@ -270,14 +274,9 @@ def _make_responder(
     if strategy == STRATEGY_ROOT:
         recovered: "SchemeIKeyPair | SchemeIIKeyPair | None" = None
         try:
-            if scheme == 1:
-                found = recover_scheme1_secrets(pub, root_bound, max_candidates=search_budget)
-                if found is not None:
-                    recovered = SchemeIKeyPair(pub, found[0], found[1])
-            else:
-                found2 = recover_scheme2_secret(pub, root_bound, max_candidates=search_budget)
-                if found2 is not None:
-                    recovered = SchemeIIKeyPair(pub, found2)
+            found = _ROOT_SEARCHES[pub.scheme](pub, root_bound, max_candidates=search_budget)
+            if found is not None:
+                recovered = pub.scheme.keypair_type(pub, *found)
         except SearchExhausted as exc:
             note = f"root search exhausted ({exc.candidates_tested} candidates)"
         else:
@@ -290,11 +289,15 @@ def _make_responder(
         if recovered is None:
             # Nothing recovered: answer with the digest of the bare challenge.
             return (lambda Y, k: hash_braid(Y)), note
-        if scheme == 1:
-            rec1 = recovered
-            return (lambda Y, k: respond1(rec1, Y).digest), note
-        rec2 = recovered
-        return (lambda Y, k: respond2(rec2, Y).digest), note
+        return (lambda Y, k: pub.scheme.respond(recovered, Y).digest), note
+
+    if strategy == STRATEGY_SPLIT:
+        # X's lower strands as the left factor, its upper strands as the right.
+        m = pub.n // 2
+        left = forget_strands(pub.X, range(m))
+        right = forget_strands(pub.X, range(m, pub.n))
+        note = "answering with X's lower- and upper-strand braids around Y"
+        return (lambda Y, k: hash_braid(multiply(multiply(left, Y), right))), note
 
     raise InvalidParameterError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
@@ -320,10 +323,10 @@ def impersonation_experiment(
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials!r}")
     pub = keys.public
-    scheme = 1 if isinstance(keys, SchemeIKeyPair) else 2
+    scheme = keys.scheme
     if sampler is None:
         raise InvalidParameterError("an explicit SamplerConfig is required")
-    cfg = SessionConfig(scheme, rounds, sampler)
+    cfg = SessionConfig(scheme.number, rounds, sampler)
     bound = root_bound if root_bound is not None else sampler.word_length
     respond, note = _make_responder(keys, strategy, rng.spawn("responder"), cfg, bound, search_budget)
 
@@ -332,13 +335,7 @@ def impersonation_experiment(
     for _ in range(trials):
         ok = True
         for k in range(rounds):
-            if scheme == 1:
-                ch = challenge1(pub, sampler, verifier_rng)
-                answer = Response(respond(ch.Y, k))
-                ok = verify1(pub, ch.c, ch.d, answer) and ok
-            else:
-                ch2 = challenge2(pub, sampler, verifier_rng)
-                answer = Response(respond(ch2.Y, k))
-                ok = verify2(pub, ch2.b, answer) and ok
+            ch = scheme.challenge(pub, sampler, verifier_rng)
+            ok = scheme.verify(pub, ch, Response(respond(ch.Y, k))) and ok
         successes += int(ok)
     return AttackReport(strategy, trials, successes, sampler, note)

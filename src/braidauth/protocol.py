@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import hmac
+from typing import Callable
 
 from .braid import CanonicalForm, identity, multiply, power
 from .errors import InvalidParameterError, SamplingFailure
@@ -106,7 +107,7 @@ class SessionConfig:
     sampler: SamplerConfig
 
     def __post_init__(self):
-        if self.scheme not in (1, 2):
+        if self.scheme not in SCHEMES:
             raise InvalidParameterError(f"scheme must be 1 or 2, got {self.scheme!r}")
         if not isinstance(self.rounds, int) or self.rounds < 1:
             raise InvalidParameterError(f"rounds must be >= 1, got {self.rounds!r}")
@@ -247,6 +248,70 @@ def verify2(pub: SchemeIIPublic, b: CanonicalForm, response: Response) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The scheme as a value
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Scheme:
+    """What one scheme does its own way, so that every caller runs one path for
+    both; a key finds it in its ``scheme`` class attribute. The calls name
+    ``keygen1`` and the rest as module globals, so they see a rebinding (a
+    tracer's, say)."""
+
+    number: int  # HELLO's scheme byte and the key files' "scheme ="
+    public_fields: tuple[str, ...]  # key-file names after n: two exponents, then braids
+    hello_braids: tuple[str, ...]  # the public braids in HELLO order
+    secret_fields: tuple[str, ...]  # key-file names after n of the secrets
+    public_type: type
+    keypair_type: type
+    keygen: Callable  # (cfg, exponent, exponent, rng) -> key pair
+    challenge: Callable  # (public, cfg, rng) -> Y and the verifier's ephemerals
+    respond: Callable  # (key pair, Y) -> Response
+    verify: Callable  # (public, challenge, Response) -> bool
+    expected_digest: Callable  # (public, challenge) -> the digest verify accepts
+
+    @property
+    def exponent_names(self) -> tuple[str, ...]:
+        return self.public_fields[:2]
+
+    def exponents(self, pub) -> tuple[int, int]:
+        return _values(pub)[1:3]
+
+    def key_braids(self, pub) -> tuple[CanonicalForm, ...]:
+        return tuple(getattr(pub, name) for name in self.hello_braids)
+
+    def public_of(self, n: int, exponents, key_braids):
+        """The public key from HELLO's parts: exponents, braids in HELLO order."""
+        return self.public_type(n, *exponents, **dict(zip(self.hello_braids, key_braids)))
+
+
+def _values(obj) -> tuple:
+    """Field values in declaration order, without astuple's deep copy."""
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+SCHEME_I = Scheme(
+    1, ("r", "s", "X"), ("X",), ("a", "b"), SchemeIPublic, SchemeIKeyPair,
+    keygen=lambda cfg, e1, e2, rng: keygen1(cfg, e1, e2, rng),
+    challenge=lambda pub, cfg, rng: challenge1(pub, cfg, rng),
+    respond=lambda keys, Y: respond1(keys, Y),
+    verify=lambda pub, ch, resp: verify1(pub, ch.c, ch.d, resp),
+    expected_digest=lambda pub, ch: _expected_digest1(pub, ch.c, ch.d),
+)
+SCHEME_II = Scheme(
+    2, ("e", "f", "base", "X"), ("X", "base"), ("a",), SchemeIIPublic, SchemeIIKeyPair,
+    keygen=lambda cfg, e1, e2, rng: keygen2(cfg, e1, e2, rng),
+    challenge=lambda pub, cfg, rng: challenge2(pub, cfg, rng),
+    respond=lambda keys, Y: respond2(keys, Y),
+    verify=lambda pub, ch, resp: verify2(pub, ch.b, resp),
+    expected_digest=lambda pub, ch: _expected_digest2(pub, ch.b),
+)
+SCHEMES = {scheme.number: scheme for scheme in (SCHEME_I, SCHEME_II)}
+SchemeIPublic.scheme = SchemeIKeyPair.scheme = SCHEME_I
+SchemeIIPublic.scheme = SchemeIIKeyPair.scheme = SCHEME_II
+
+
+# ---------------------------------------------------------------------------
 # Sessions and the transcript simulator
 # ---------------------------------------------------------------------------
 
@@ -261,21 +326,14 @@ def run_session(
     Verifier randomness comes only from ``verifier_rng`` and only through the
     challenge samplers, which is what makes the simulator comparison exact.
     """
-    scheme = 1 if isinstance(keys, SchemeIKeyPair) else 2
-    if scheme != cfg.scheme:
-        raise InvalidParameterError(f"key is for scheme {scheme}, session for {cfg.scheme}")
+    scheme = keys.scheme
+    if scheme.number != cfg.scheme:
+        raise InvalidParameterError(f"key is for scheme {scheme.number}, session for {cfg.scheme}")
     rounds = []
     for _ in range(cfg.rounds):
-        if scheme == 1:
-            ch = challenge1(keys.public, cfg.sampler, verifier_rng)
-            resp = respond1(keys, ch.Y)
-            ok = verify1(keys.public, ch.c, ch.d, resp)
-        else:
-            ch2 = challenge2(keys.public, cfg.sampler, verifier_rng)
-            resp = respond2(keys, ch2.Y)
-            ok = verify2(keys.public, ch2.b, resp)
-            ch = ch2
-        rounds.append(RoundRecord(ch.Y, resp.digest, ok))
+        ch = scheme.challenge(keys.public, cfg.sampler, verifier_rng)
+        resp = scheme.respond(keys, ch.Y)
+        rounds.append(RoundRecord(ch.Y, resp.digest, scheme.verify(keys.public, ch, resp)))
     return Transcript(tuple(rounds), all(r.accepted for r in rounds))
 
 
@@ -290,19 +348,13 @@ def simulate_transcript(
     session, then emits the digest the verifier would accept. No secret key
     is a parameter, so none can be consulted.
     """
-    scheme = 1 if isinstance(pub, SchemeIPublic) else 2
-    if scheme != cfg.scheme:
-        raise InvalidParameterError(f"public key is for scheme {scheme}, session for {cfg.scheme}")
+    scheme = pub.scheme
+    if scheme.number != cfg.scheme:
+        raise InvalidParameterError(f"key is for scheme {scheme.number}, session for {cfg.scheme}")
     rounds = []
     for _ in range(cfg.rounds):
-        if scheme == 1:
-            ch = challenge1(pub, cfg.sampler, rng)
-            digest = _expected_digest1(pub, ch.c, ch.d)
-            rounds.append(RoundRecord(ch.Y, digest, True))
-        else:
-            ch2 = challenge2(pub, cfg.sampler, rng)
-            digest = _expected_digest2(pub, ch2.b)
-            rounds.append(RoundRecord(ch2.Y, digest, True))
+        ch = scheme.challenge(pub, cfg.sampler, rng)
+        rounds.append(RoundRecord(ch.Y, scheme.expected_digest(pub, ch), True))
     return Transcript(tuple(rounds), True)
 
 
@@ -310,42 +362,21 @@ def simulate_transcript(
 # Key files: line-based "field = value" text, braids as lowercase hex
 # ---------------------------------------------------------------------------
 
-def format_public_key(pub: "SchemeIPublic | SchemeIIPublic") -> str:
-    if isinstance(pub, SchemeIPublic):
-        lines = [
-            "scheme = 1",
-            f"n = {pub.n}",
-            f"r = {pub.r}",
-            f"s = {pub.s_exp}",
-            f"X = {serialize(pub.X).hex()}",
-        ]
-    else:
-        lines = [
-            "scheme = 2",
-            f"n = {pub.n}",
-            f"e = {pub.e}",
-            f"f = {pub.f}",
-            f"base = {serialize(pub.base).hex()}",
-            f"X = {serialize(pub.X).hex()}",
-        ]
+def _key_text(number: int, fields) -> str:
+    lines = [f"scheme = {number}"]
+    for name, value in fields:
+        text = serialize(value).hex() if isinstance(value, CanonicalForm) else value
+        lines.append(f"{name} = {text}")
     return "\n".join(lines) + "\n"
+
+
+def format_public_key(pub: "SchemeIPublic | SchemeIIPublic") -> str:
+    return _key_text(pub.scheme.number, zip(("n",) + pub.scheme.public_fields, _values(pub)))
 
 
 def format_secret_key(keys: "SchemeIKeyPair | SchemeIIKeyPair") -> str:
-    if isinstance(keys, SchemeIKeyPair):
-        lines = [
-            "scheme = 1",
-            f"n = {keys.public.n}",
-            f"a = {serialize(keys.a).hex()}",
-            f"b = {serialize(keys.b).hex()}",
-        ]
-    else:
-        lines = [
-            "scheme = 2",
-            f"n = {keys.public.n}",
-            f"a = {serialize(keys.a).hex()}",
-        ]
-    return "\n".join(lines) + "\n"
+    fields = zip(("n",) + keys.scheme.secret_fields, (keys.public.n,) + _values(keys)[1:])
+    return _key_text(keys.scheme.number, fields)
 
 
 def _parse_fields(text: str) -> dict[str, str]:
@@ -367,21 +398,23 @@ def _field(fields: dict[str, str], name: str) -> str:
     return fields[name]
 
 
+def _braid_field(fields: dict[str, str], name: str, n: int) -> CanonicalForm:
+    x = deserialize(bytes.fromhex(_field(fields, name)))
+    if x.n != n:
+        raise InvalidParameterError(f"{name} has {x.n} strands, file says {n}")
+    return x
+
+
 def parse_public_key(text: str) -> "SchemeIPublic | SchemeIIPublic":
     fields = _parse_fields(text)
-    scheme = int(_field(fields, "scheme"))
-    if scheme not in (1, 2):
-        raise InvalidParameterError(f"unknown scheme {scheme}")
+    number = int(_field(fields, "scheme"))
+    if number not in SCHEMES:
+        raise InvalidParameterError(f"unknown scheme {number}")
+    scheme = SCHEMES[number]
     n = int(_field(fields, "n"))
-    X = deserialize(bytes.fromhex(_field(fields, "X")))
-    if X.n != n:
-        raise InvalidParameterError(f"X has {X.n} strands, file says {n}")
-    if scheme == 1:
-        return SchemeIPublic(n, int(_field(fields, "r")), int(_field(fields, "s")), X)
-    base = deserialize(bytes.fromhex(_field(fields, "base")))
-    if base.n != n:
-        raise InvalidParameterError(f"base has {base.n} strands, file says {n}")
-    return SchemeIIPublic(n, int(_field(fields, "e")), int(_field(fields, "f")), base, X)
+    braids = [_braid_field(fields, name, n) for name in scheme.hello_braids]
+    exponents = [int(_field(fields, name)) for name in scheme.exponent_names]
+    return scheme.public_of(n, exponents, braids)
 
 
 def parse_keypair(public_text: str, secret_text: str) -> "SchemeIKeyPair | SchemeIIKeyPair":
@@ -389,17 +422,14 @@ def parse_keypair(public_text: str, secret_text: str) -> "SchemeIKeyPair | Schem
     agree; whether the secret actually matches the public key is decided by
     the protocol itself, not at parse time."""
     pub = parse_public_key(public_text)
+    scheme = pub.scheme
     fields = _parse_fields(secret_text)
-    scheme = int(_field(fields, "scheme"))
+    number = int(_field(fields, "scheme"))
     n = int(_field(fields, "n"))
-    expected_scheme = 1 if isinstance(pub, SchemeIPublic) else 2
-    if scheme != expected_scheme or n != pub.n:
+    if number != scheme.number or n != pub.n:
         raise InvalidParameterError(
-            f"secret file (scheme {scheme}, n {n}) does not match public file "
-            f"(scheme {expected_scheme}, n {pub.n})"
+            f"secret file (scheme {number}, n {n}) does not match public file "
+            f"(scheme {scheme.number}, n {pub.n})"
         )
-    a = deserialize(bytes.fromhex(_field(fields, "a")))
-    if isinstance(pub, SchemeIPublic):
-        b = deserialize(bytes.fromhex(_field(fields, "b")))
-        return SchemeIKeyPair(pub, a, b)
-    return SchemeIIKeyPair(pub, a)
+    secrets = [deserialize(bytes.fromhex(_field(fields, name))) for name in scheme.secret_fields]
+    return scheme.keypair_type(pub, *secrets)

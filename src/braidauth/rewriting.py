@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .braid import BraidWord, GeneratorLetter
 from .errors import InvalidParameterError
+from .sampling import iter_reduced_words, letter_followers
 
 Letters = tuple[GeneratorLetter, ...]
 
@@ -70,13 +71,13 @@ def _insertion_neighbors(letters: Letters, n: int, cap: int) -> "list[Letters]":
     if len(letters) + 2 > cap:
         return []
     result = []
+    alphabet = letter_followers(n)[None]
     for p in range(len(letters) + 1):
-        for index in range(1, n):
-            for sign in (1, -1):
-                pair = (GeneratorLetter(index, sign), GeneratorLetter(index, -sign))
-                candidate = letters[:p] + pair + letters[p:]
-                if free_reduce(candidate) == candidate:
-                    result.append(candidate)
+        for letter in alphabet:
+            pair = (letter, GeneratorLetter(letter.index, -letter.sign))
+            candidate = letters[:p] + pair + letters[p:]
+            if free_reduce(candidate) == candidate:
+                result.append(candidate)
     return result
 
 
@@ -88,7 +89,7 @@ class RewritingClosure:
             raise InvalidParameterError("max_word_length must be >= 0")
         self.n = n
         self.cap = max_word_length
-        words = list(self._all_reduced_words())
+        words = list(iter_reduced_words(n, max_word_length))
         self._ids = {w: i for i, w in enumerate(words)}
         self._parent = list(range(len(words)))
         for w in words:
@@ -99,22 +100,6 @@ class RewritingClosure:
                     self._union(wid, self._ids[reduced])
             for nb in _insertion_neighbors(w, self.n, self.cap):
                 self._union(wid, self._ids[nb])
-
-    def _all_reduced_words(self):
-        alphabet = [GeneratorLetter(i, s) for i in range(1, self.n) for s in (1, -1)]
-
-        def extend(prefix: Letters, remaining: int):
-            if remaining == 0:
-                yield prefix
-                return
-            last = prefix[-1] if prefix else None
-            for letter in alphabet:
-                if last and letter.index == last.index and letter.sign == -last.sign:
-                    continue
-                yield from extend(prefix + (letter,), remaining - 1)
-
-        for length in range(self.cap + 1):
-            yield from extend((), length)
 
     def _find(self, i: int) -> int:
         parent = self._parent

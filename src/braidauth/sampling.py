@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import types
+from typing import Iterator
 
 from .braid import MAX_STRANDS, BraidWord, CanonicalForm, GeneratorLetter
 from .errors import InvalidParameterError
@@ -74,6 +77,40 @@ def generator_indices(side: SubgroupSide, n: int) -> range:
     return lower_generator_indices(n) if side is SubgroupSide.LOWER else upper_generator_indices(n)
 
 
+def letter_followers(n: int, indices: "range | list[int] | None" = None) -> types.MappingProxyType:
+    """The one reduced-word alphabet: for each last letter (None: the empty
+    word), the signed generators of ``indices`` (default all) that may follow
+    it, index ascending and + before -. This order fixes every sampled word."""
+    return _followers(tuple(sorted(indices if indices is not None else range(1, n))))
+
+
+@functools.lru_cache(maxsize=64)
+def _followers(indices: tuple[int, ...]) -> types.MappingProxyType:
+    alphabet = tuple(GeneratorLetter(i, s) for i in indices for s in (1, -1))
+    table: dict = {None: alphabet}
+    for last in alphabet:
+        table[last] = tuple(c for c in alphabet if c != (last.index, -last.sign))
+    return types.MappingProxyType(table)  # shared by every caller, so read-only
+
+
+def iter_reduced_words(
+    n: int, max_len: int, indices: "range | list[int] | None" = None
+) -> Iterator[tuple[GeneratorLetter, ...]]:
+    """All freely reduced words of length <= max_len, shortest first, then
+    lexicographic in :func:`letter_followers` order."""
+    table = letter_followers(n, indices)
+
+    def extend(prefix: tuple[GeneratorLetter, ...], remaining: int):
+        if remaining == 0:
+            yield prefix
+            return
+        for letter in table[prefix[-1] if prefix else None]:
+            yield from extend(prefix + (letter,), remaining - 1)
+
+    for length in range(max_len + 1):
+        yield from extend((), length)
+
+
 def sample_word(
     cfg: SamplerConfig,
     rng: DeterministicRng,
@@ -82,21 +119,17 @@ def sample_word(
     """A freely reduced word of the configured length, letters uniform over the
     signed generators of ``indices`` (all generators when omitted).
 
-    Immediate cancellations are excluded by construction. An empty index set
+    Immediate cancellations are excluded by construction: each letter is
+    drawn from the :func:`letter_followers` of the last. An empty index set
     yields the empty word.
     """
-    pool = list(indices) if indices is not None else list(range(1, cfg.n))
-    if not pool:
+    table = letter_followers(cfg.n, indices)
+    if not table[None]:
         return BraidWord(cfg.n, ())
     letters: list[GeneratorLetter] = []
-    candidates = [GeneratorLetter(i, s) for i in pool for s in (1, -1)]
     prev: GeneratorLetter | None = None
     while len(letters) < cfg.word_length:
-        if prev is None:
-            allowed = candidates
-        else:
-            allowed = [c for c in candidates if not (c.index == prev.index and c.sign == -prev.sign)]
-        prev = rng.choice(allowed)
+        prev = rng.choice(table[prev])
         letters.append(prev)
     return BraidWord(cfg.n, tuple(letters))
 

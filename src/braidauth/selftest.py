@@ -238,24 +238,21 @@ def check_hash_well_definedness(sizes: Iterable[int], rng: DeterministicRng) -> 
 def check_completeness(sizes: Iterable[int], rng: DeterministicRng) -> None:
     for n in sizes:
         cfg = SamplerConfig(n=n, word_length=12, min_canonical_length=2, seed=0)
-        keys1 = P.keygen1(cfg, 2, 3, rng.spawn(f"kg1-{n}"))
-        keys2 = P.keygen2(cfg, 3, 2, rng.spawn(f"kg2-{n}"))
-        session = P.SessionConfig(1, 2, cfg)
-        session2 = P.SessionConfig(2, 2, cfg)
-        for k in range(25):
-            t1 = P.run_session(keys1, session, rng.spawn(f"v1-{n}-{k}"))
-            t2 = P.run_session(keys2, session2, rng.spawn(f"v2-{n}-{k}"))
-            assert t1.accepted and t2.accepted, "honest session rejected"
+        for scheme, exponents in ((P.SCHEME_I, (2, 3)), (P.SCHEME_II, (3, 2))):
+            keys = scheme.keygen(cfg, *exponents, rng.spawn(f"kg{scheme.number}-{n}"))
+            session = P.SessionConfig(scheme.number, 2, cfg)
+            for k in range(25):
+                t = P.run_session(keys, session, rng.spawn(f"v{scheme.number}-{n}-{k}"))
+                assert t.accepted, "honest session rejected"
 
 
 def check_simulator_exactness(sizes: Iterable[int], rng: DeterministicRng) -> None:
     for n in sizes:
         cfg = SamplerConfig(n=n, word_length=12, min_canonical_length=2, seed=0)
-        keys1 = P.keygen1(cfg, 2, 2, rng.spawn(f"skg1-{n}"))
-        keys2 = P.keygen2(cfg, 2, 3, rng.spawn(f"skg2-{n}"))
-        for k in range(10):
-            for keys, scheme in ((keys1, 1), (keys2, 2)):
-                session = P.SessionConfig(scheme, 2, cfg)
+        for scheme, exponents in ((P.SCHEME_I, (2, 2)), (P.SCHEME_II, (2, 3))):
+            keys = scheme.keygen(cfg, *exponents, rng.spawn(f"skg{scheme.number}-{n}"))
+            session = P.SessionConfig(scheme.number, 2, cfg)
+            for k in range(10):
                 real = P.run_session(keys, session, DeterministicRng(1000 + k, f"coins-{n}"))
                 sim = P.simulate_transcript(
                     keys.public, session, DeterministicRng(1000 + k, f"coins-{n}")

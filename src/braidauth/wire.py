@@ -20,7 +20,7 @@ import struct
 
 from .errors import EncodingError, FrameError
 from .hashing import deserialize, serialize
-from .protocol import SchemeIPublic, SchemeIIPublic
+from .protocol import SCHEMES, SchemeIPublic, SchemeIIPublic
 
 MSG_HELLO = 0x01
 MSG_CHALLENGE = 0x02
@@ -81,9 +81,9 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes] | None:
 
 
 def pack_hello(pub: "SchemeIPublic | SchemeIIPublic") -> bytes:
-    if isinstance(pub, SchemeIPublic):
-        return _HELLO_HEAD.pack(1, pub.n, pub.r, pub.s_exp) + serialize(pub.X)
-    return _HELLO_HEAD.pack(2, pub.n, pub.e, pub.f) + serialize(pub.X) + serialize(pub.base)
+    scheme = pub.scheme
+    head = _HELLO_HEAD.pack(scheme.number, pub.n, *scheme.exponents(pub))
+    return head + b"".join(serialize(x) for x in scheme.key_braids(pub))
 
 
 def _split_braid(blob: bytes) -> tuple[bytes, bytes]:
@@ -101,29 +101,25 @@ def _split_braid(blob: bytes) -> tuple[bytes, bytes]:
 def unpack_hello(payload: bytes) -> "SchemeIPublic | SchemeIIPublic":
     if len(payload) < _HELLO_HEAD.size:
         raise FrameError(ERR_BAD_LENGTH, "hello payload too short")
-    scheme, n, exp1, exp2 = _HELLO_HEAD.unpack_from(payload)
+    number, n, exp1, exp2 = _HELLO_HEAD.unpack_from(payload)
+    scheme = SCHEMES.get(number)
+    if scheme is None:
+        raise FrameError(ERR_MALFORMED, f"unknown scheme byte {number}")
     rest = payload[_HELLO_HEAD.size :]
+    braids = []
     try:
-        if scheme == 1:
-            x_blob, rest = _split_braid(rest)
-            if rest:
-                raise FrameError(ERR_MALFORMED, "trailing bytes after hello")
-            pub: SchemeIPublic | SchemeIIPublic = SchemeIPublic(n, exp1, exp2, deserialize(x_blob))
-        elif scheme == 2:
-            x_blob, rest = _split_braid(rest)
-            base_blob, rest = _split_braid(rest)
-            if rest:
-                raise FrameError(ERR_MALFORMED, "trailing bytes after hello")
-            pub = SchemeIIPublic(n, exp1, exp2, deserialize(base_blob), deserialize(x_blob))
-        else:
-            raise FrameError(ERR_MALFORMED, f"unknown scheme byte {scheme}")
+        for _ in scheme.hello_braids:
+            blob, rest = _split_braid(rest)
+            braids.append(deserialize(blob))
     except EncodingError as exc:
         raise FrameError(ERR_MALFORMED, f"bad braid in hello: {exc}") from exc
-    if pub.X.n != n or (scheme == 2 and pub.base.n != n):
+    if rest:
+        raise FrameError(ERR_MALFORMED, "trailing bytes after hello")
+    if any(x.n != n for x in braids):
         raise FrameError(ERR_MALFORMED, "strand count mismatch inside hello")
     if exp1 < 2 or exp2 < 2:
         raise FrameError(ERR_MALFORMED, f"exponents must be >= 2, got {exp1}, {exp2}")
-    return pub
+    return scheme.public_of(n, (exp1, exp2), braids)
 
 
 def pack_verdict(accept: bool, round_index: int) -> bytes:

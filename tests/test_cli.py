@@ -153,6 +153,17 @@ def test_attack_root_toy_parameters(capsys):
     assert "n=3 L=2" in out
 
 
+def test_attack_split_strategy(capsys):
+    code, out, _ = run_cli(
+        ["attack", "--strategy", "split", "--n", "8", "--len", "16",
+         "--trials", "10", "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    row = [line for line in out.splitlines() if line.startswith("split")][0]
+    assert row.split()[1:3] == ["10", "10"]
+
+
 def test_attack_report_file(tmp_path, capsys):
     out_path = tmp_path / "report.txt"
     code, _, _ = run_cli(
@@ -260,6 +271,15 @@ def first_challenge(serve_args, hello):
         server.stop()
     assert msg_type == W.MSG_CHALLENGE
     return payload
+
+
+def test_verify_serve_refuses_bad_sampler_settings_before_listening(capsys):
+    # --max-sessions 0 ends the listener at once, so a verifier that did
+    # start would exit 0 here instead of hanging.
+    for bad in (["--len", "-1"], ["--minlen", "0"]):
+        code, out, err = run_cli(["verify-serve", "--max-sessions", "0", *bad], capsys)
+        assert code == 2
+        assert "listening" not in out and "must be" in err
 
 
 def test_verify_serve_challenges_differ_across_restarts_unless_seeded(monkeypatch):

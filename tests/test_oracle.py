@@ -205,6 +205,39 @@ def test_scheme2_root_attack_toy():
     assert report.successes == 10
 
 
+def test_forget_strands_splits_scheme1_keys_into_their_powers():
+    cfg = SamplerConfig(n=8, word_length=16, min_canonical_length=3, seed=7)
+    keys = P.keygen1(cfg, 2, 3, DeterministicRng(7, "kg"))
+    X = keys.public.X
+    assert B.equals(O.forget_strands(X, range(4)), B.power(keys.a, 2))
+    assert B.equals(O.forget_strands(X, range(4, 8)), B.power(keys.b, 3))
+    assert O.forget_strands(cf(4, "s1 s1 S3"), range(2)) == cf(4, "s1 s1")
+    assert O.forget_strands(cf(4, "s1 s1 S3"), range(2, 4)) == cf(4, "S3")
+    # strand 2 circles strand 0 and comes back: without it, nothing is left
+    assert O.forget_strands(cf(3, "s2 s1 s1 S2"), range(2)) == B.identity(3)
+    assert O.forget_strands(cf(3, "s2 s1 s1 S2"), range(1, 3)) == B.identity(3)
+
+
+@pytest.mark.parametrize("n,length,trials", [(8, 16, 20), (64, 64, 3)])
+def test_split_attack_wins_every_scheme1_session(n, length, trials):
+    cfg = SamplerConfig(n=n, word_length=length, min_canonical_length=3, seed=7)
+    keys = P.keygen1(cfg, 2, 3, DeterministicRng(7, "kg"))
+    report = O.impersonation_experiment(
+        keys, O.STRATEGY_SPLIT, trials, DeterministicRng(70), rounds=2, sampler=cfg
+    )
+    assert report.successes == report.trials == trials
+
+
+def test_split_attack_fails_against_scheme2():
+    cfg = SamplerConfig(n=8, word_length=16, min_canonical_length=3, seed=7)
+    for k in range(3):
+        keys = P.keygen2(cfg, 2, 3, DeterministicRng(k, "kg"))
+        report = O.impersonation_experiment(
+            keys, O.STRATEGY_SPLIT, 10, DeterministicRng(71 + k), sampler=cfg
+        )
+        assert report.successes == 0
+
+
 def test_attack_report_validation_and_rendering():
     cfg = SamplerConfig(n=4, word_length=8, min_canonical_length=3, seed=0)
     with pytest.raises(InvalidParameterError):

@@ -7,7 +7,7 @@ import pytest
 
 import braidauth.protocol as P
 import braidauth.wire as W
-from braidauth.errors import FrameError
+from braidauth.errors import FrameError, InvalidParameterError
 from braidauth.hashing import serialize
 from braidauth.braid import CanonicalForm
 from braidauth.netpair import (
@@ -330,6 +330,12 @@ def test_concurrent_sessions_are_independent(server):
     assert set(results) == {0, 1, 2, 3}
     for verdicts in results.values():
         assert all(v.accepted for v in verdicts)
+
+
+def test_bad_sampler_settings_fail_when_the_verifier_is_built():
+    for kwargs in ({"word_length": -1}, {"min_canonical_length": 0}):
+        with pytest.raises(InvalidParameterError):
+            VerifierServer(rounds=1, **kwargs)
 
 
 def test_max_sessions_stops_listener():
