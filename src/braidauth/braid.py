@@ -102,11 +102,6 @@ def word(n: int, text: str) -> BraidWord:
     return BraidWord.from_text(n, text)
 
 
-def is_left_weighted_pair(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether adjacent factors (a, b) satisfy the descent inclusion."""
-    return perms.descent_mask(b) & ~perms.inverse_descent_mask(a) == 0
-
-
 def validate_canonical_form(n: int, inf: int, factors: Sequence[Sequence[int]]) -> None:
     """Raise InvalidParameterError unless (n, inf, factors) is a left canonical form."""
     _check_strand_count(n)
@@ -146,8 +141,10 @@ def validate_canonical_form(n: int, inf: int, factors: Sequence[Sequence[int]]) 
 class CanonicalForm:
     """A braid in left canonical form: half-twist power ``inf`` and factor tables.
 
-    Instances are immutable and validated on construction; any two values
-    representing the same group element are equal as dataclasses.
+    Instances are immutable; any two values representing the same group
+    element are equal as dataclasses. Public construction validates. The
+    engine's outputs, left weighted by construction, and forms already
+    checked by ``hashing.deserialize`` skip that check.
     """
 
     n: int
@@ -170,6 +167,13 @@ class CanonicalForm:
 
     def __repr__(self):
         return f"CanonicalForm(n={self.n}, inf={self.inf}, factors={list(self.factors)!r})"
+
+
+def _form(n: int, inf: int, factors: tuple[PermTable, ...]) -> CanonicalForm:
+    """A form already known to be left canonical, built without validation."""
+    x = object.__new__(CanonicalForm)
+    x.__dict__.update(n=n, inf=inf, factors=factors)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +260,9 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 # M the meet of the right complement of A and B: the largest permutation braid
 # that A can absorb from the front of B (El-Rifai and Morton 1994; Epstein et
 # al., Word Processing in Groups, ch. 9). The meet is computed on strand orders,
-# never one generator at a time.
+# never one generator at a time. Every form the engine returns is left weighted
+# by this construction, so it is built with _form and not validated again; the
+# tests and selftest run validate_canonical_form on those outputs as a referee.
 #
 # Pair rebalancing is the innermost operation of every product and identical
 # factor pairs recur constantly, so results are memoized, one row per left
@@ -445,7 +451,7 @@ def normalize(w: BraidWord) -> CanonicalForm:
         absorbed, weighted = _weld(n, prefix, len(prefix) - 1)
         inf += absorbed
         prefix = list(weighted)
-    return CanonicalForm(n, inf, tuple(prefix))
+    return _form(n, inf, tuple(prefix))
 
 
 def multiply(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
@@ -455,15 +461,15 @@ def multiply(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
     inf = a.inf + b.inf
     odd = b.inf & 1
     if not a.factors:
-        return CanonicalForm(a.n, inf, b.factors)
+        return _form(a.n, inf, b.factors)
     if not b.factors:
         twisted = tuple(perms.flip(f) for f in a.factors) if odd else a.factors
-        return CanonicalForm(a.n, inf, twisted)
+        return _form(a.n, inf, twisted)
     factors = [perms.flip(f) for f in a.factors] if odd else list(a.factors)
     junction = len(factors)
     factors.extend(b.factors)
     absorbed, weighted = _weld(a.n, factors, junction)
-    return CanonicalForm(a.n, inf + absorbed, weighted)
+    return _form(a.n, inf + absorbed, weighted)
 
 
 def inverse(x: CanonicalForm) -> CanonicalForm:
@@ -476,7 +482,7 @@ def inverse(x: CanonicalForm) -> CanonicalForm:
     """
     pieces = [(-1, perms.left_complement(f)) for f in reversed(x.factors)]
     inf, factors = _twists_to_front(-x.inf, pieces)
-    return CanonicalForm(x.n, inf, tuple(factors))
+    return _form(x.n, inf, tuple(factors))
 
 
 @functools.lru_cache(maxsize=256)
@@ -491,7 +497,7 @@ def power(x: CanonicalForm, e: int) -> CanonicalForm:
     """
     if not isinstance(e, int) or e < 0:
         raise InvalidParameterError(f"exponent must be a non-negative int, got {e!r}")
-    acc = identity(x.n)
+    acc = _form(x.n, 0, ())
     for _ in range(e):
         acc = multiply(acc, x)
     return acc
@@ -512,7 +518,7 @@ def canonical_length(x: CanonicalForm) -> int:
 def tau(x: CanonicalForm) -> CanonicalForm:
     """The index-flip automorphism, applied factorwise. Involutive, and the
     half twist commutes with any braid up to one application of it."""
-    return CanonicalForm(x.n, x.inf, tuple(perms.flip(f) for f in x.factors))
+    return _form(x.n, x.inf, tuple(perms.flip(f) for f in x.factors))
 
 
 def to_braidword(x: CanonicalForm) -> BraidWord:

@@ -19,7 +19,7 @@ import hashlib
 import struct
 
 from . import permutations as perms
-from .braid import MAX_STRANDS, CanonicalForm, is_left_weighted_pair
+from .braid import MAX_STRANDS, CanonicalForm, _form
 from .errors import EncodingError
 
 MAGIC = b"BCF1"
@@ -40,7 +40,8 @@ def serialize(x: CanonicalForm) -> bytes:
 
 
 def deserialize(data: bytes) -> CanonicalForm:
-    """Decode and fully re-validate a canonical form.
+    """Decode and fully validate a canonical form, the only path from bytes
+    to a form. One pass computes each table's two descent masks once.
 
     Raises :class:`EncodingError` with a distinct code for each failure mode;
     see the class docstring for the code list.
@@ -59,18 +60,25 @@ def deserialize(data: bytes) -> CanonicalForm:
     if body > expected:
         raise EncodingError("trailing-data", f"{body - expected} bytes past the last factor")
     entry = struct.Struct(f">{n}H")
+    ident, twist = list(range(n)), perms.reversal(n)
     factors = []
+    bad = None
+    prev_inv_desc = -1
     for k in range(count):
         table = entry.unpack_from(data, _HEADER.size + k * entry.size)
-        if not perms.is_permutation(table):
+        if sorted(table) != ident:
             raise EncodingError("not-bijective", f"factor {k} is not a permutation: {table}")
-        if perms.is_identity(table) or perms.is_reversal(table):
+        desc = perms.descent_mask(table)
+        if desc == 0 or table == twist:
             raise EncodingError("not-canonical", f"factor {k} must not be identity or half twist")
+        # A bad pair is reported only once every table has been checked.
+        if bad is None and desc & ~prev_inv_desc:
+            bad = k - 1
+        prev_inv_desc = perms.inverse_descent_mask(table)
         factors.append(table)
-    for k in range(count - 1):
-        if not is_left_weighted_pair(factors[k], factors[k + 1]):
-            raise EncodingError("not-canonical", f"factors {k}, {k + 1} are not left weighted")
-    return CanonicalForm(n, inf, tuple(factors))
+    if bad is not None:
+        raise EncodingError("not-canonical", f"factors {bad}, {bad + 1} are not left weighted")
+    return _form(n, inf, tuple(factors))
 
 
 def hash_braid(x: CanonicalForm) -> bytes:

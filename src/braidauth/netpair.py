@@ -38,6 +38,9 @@ from .sampling import SamplerConfig
 MAX_EXPONENT = 64
 MAX_SERVED_STRANDS = 64
 MAX_KEY_FACTORS = 1024
+# A length-0 challenge is the identity, passed by answering hash(X) with no
+# secret. 8 is the shortest the tests, demos, CLI and benchmark ask for.
+MIN_CHALLENGE_LENGTH = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,10 +52,11 @@ class RoundVerdict:
 class VerifierServer:
     """Threaded TCP verifier.
 
-    ``word_length``/``min_canonical_length`` parameterize challenge sampling;
-    the strand count always comes from the client's HELLO. When
-    ``expect_scheme`` is set, a HELLO for the other scheme is refused. With
-    ``max_sessions`` set, the listener stops after that many connections.
+    ``word_length``/``min_canonical_length`` parameterize challenge sampling,
+    with ``word_length`` at least ``MIN_CHALLENGE_LENGTH``; the strand count
+    always comes from the client's HELLO. When ``expect_scheme`` is set, a
+    HELLO for the other scheme is refused. With ``max_sessions`` set, the
+    listener stops after that many connections.
     """
 
     def __init__(
@@ -73,6 +77,10 @@ class VerifierServer:
         # Bad sampler settings fail here; each session sets n from its HELLO.
         floor = min(min_canonical_length, max(word_length, 1))
         self._sampler = SamplerConfig(2, word_length, floor)
+        if word_length < MIN_CHALLENGE_LENGTH:
+            raise InvalidParameterError(
+                f"word_length must be >= {MIN_CHALLENGE_LENGTH}, got {word_length}"
+            )
         self.rounds = rounds
         self.expect_scheme = expect_scheme
         self.max_sessions = max_sessions

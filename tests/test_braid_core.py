@@ -226,13 +226,48 @@ def test_tau_involution_and_twist_commutation(rng):
 # Structural invariants
 # ---------------------------------------------------------------------------
 
+def _referee_word(rng, n, length):
+    """Random letters, uniform or mostly negative, with whole half twists and
+    inverse half twists spliced in."""
+    delta = B.delta_word(n).letters
+    delta_inv = tuple(B.GeneratorLetter(i, -1) for i, _ in reversed(delta))
+    negative_share = rng.choice((0.5, 0.85))
+    letters = []
+    while len(letters) < length:
+        if rng.random() < 0.1:
+            letters.extend(rng.choice((delta, delta_inv)))
+        else:
+            sign = -1 if rng.random() < negative_share else 1
+            letters.append(B.GeneratorLetter(rng.randrange(1, n), sign))
+    return B.BraidWord(n, tuple(letters))
+
+
 def test_left_weightedness_of_all_outputs(rng):
+    # The engine builds its outputs without validating them, so the validator
+    # referees every entry point here, and each output must equal the form the
+    # validating constructor builds from the same data.
+    def referee(*forms):
+        for z in forms:
+            B.validate_canonical_form(z.n, z.inf, z.factors)
+            assert z == B.CanonicalForm(z.n, z.inf, z.factors)
+            assert hash(z) == hash(B.CanonicalForm(z.n, z.inf, z.factors))
+
     for n in (3, 4, 8):
         for _ in range(40):
             x = B.normalize(random_braid_word(rng, n, 12))
             y = B.normalize(random_braid_word(rng, n, 12))
-            for z in (x, y, B.multiply(x, y), B.inverse(x), B.power(x, 3), B.tau(y)):
-                B.validate_canonical_form(z.n, z.inf, z.factors)
+            referee(x, y, B.multiply(x, y), B.inverse(x), B.power(x, 3), B.tau(y))
+    for n, count, length in ((2, 20, 12), (3, 30, 16), (8, 20, 32), (64, 4, 64)):
+        one, twist = B.identity(n), B.delta(n)
+        referee(one, twist, *(B.generator(n, i, s) for i in range(1, n) for s in (1, -1)))
+        for _ in range(count):
+            x = B.normalize(_referee_word(rng, n, length))
+            y = B.normalize(_referee_word(rng, n, length))
+            referee(
+                x, y, B.multiply(x, y), B.multiply(one, y), B.multiply(x, twist),
+                B.multiply(twist, x), B.multiply(x, B.inverse(x)), B.inverse(x),
+                B.power(x, 0), B.power(y, 3), B.tau(x),
+            )
 
 
 def test_idempotence_of_reexpansion(rng):

@@ -276,7 +276,7 @@ def first_challenge(serve_args, hello):
 def test_verify_serve_refuses_bad_sampler_settings_before_listening(capsys):
     # --max-sessions 0 ends the listener at once, so a verifier that did
     # start would exit 0 here instead of hanging.
-    for bad in (["--len", "-1"], ["--minlen", "0"]):
+    for bad in (["--len", "-1"], ["--minlen", "0"], ["--len", "0"], ["--len", "7"]):
         code, out, err = run_cli(["verify-serve", "--max-sessions", "0", *bad], capsys)
         assert code == 2
         assert "listening" not in out and "must be" in err

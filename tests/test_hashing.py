@@ -1,9 +1,11 @@
 import hashlib
+import struct
 
 import pytest
 
 import braidauth.braid as B
-from braidauth.errors import EncodingError
+import braidauth.permutations as perms
+from braidauth.errors import EncodingError, InvalidParameterError
 from braidauth.hashing import deserialize, hash_braid, serialize
 from conftest import random_braid_word
 
@@ -135,3 +137,78 @@ def test_serialize_injective_smoke(rng):
         seen[blob] = x
     distinct_forms = len({v for v in ((x.n, x.inf, x.factors) for x in seen.values())})
     assert distinct_forms == len(seen)
+
+
+def reference_decode(data):
+    """A plain decoder kept as the referee for ``deserialize``: it checks the
+    header, then each table on its own, then each adjacent pair. Returns
+    (failure code or None, (n, inf, tables) or None)."""
+    if len(data) < 14:
+        return "truncated", None
+    magic, n, inf, count = struct.unpack_from(">4sHiI", data)
+    if magic != b"BCF1":
+        return "bad-magic", None
+    if not 2 <= n <= B.MAX_STRANDS:
+        return "bad-strand-count", None
+    if len(data) - 14 != count * 2 * n:
+        return ("truncated" if len(data) - 14 < count * 2 * n else "trailing-data"), None
+    tables = tuple(struct.unpack_from(f">{n}H", data, 14 + 2 * n * k) for k in range(count))
+    decoded = (n, inf, tables)
+    for t in tables:
+        if not perms.is_permutation(t):
+            return "not-bijective", decoded
+        if perms.is_identity(t) or perms.is_reversal(t):
+            return "not-canonical", decoded
+    for a, b in zip(tables, tables[1:]):
+        if perms.descent_mask(b) & ~perms.inverse_descent_mask(a):
+            return "not-canonical", decoded
+    return None, decoded
+
+
+def mutations(rng, blob, n):
+    """Corruptions of a valid encoding: one table entry, one byte, two
+    adjacent factors swapped, an identity or half-twist table inserted."""
+    count = (len(blob) - 14) // (2 * n)
+    size = 2 * n
+    if count:
+        k, j = rng.randrange(count), rng.randrange(n)
+        at = 14 + k * size + 2 * j
+        value = rng.choice((rng.randrange(n), rng.randrange(n, 1 << 16)))
+        yield blob[:at] + value.to_bytes(2, "big") + blob[at + 2 :]
+    at = rng.randrange(len(blob))
+    yield blob[:at] + bytes([blob[at] ^ rng.randrange(1, 256)]) + blob[at + 1 :]
+    if count >= 2:
+        k = rng.randrange(count - 1)
+        at = 14 + k * size
+        first, second = blob[at : at + size], blob[at + size : at + 2 * size]
+        yield blob[:at] + second + first + blob[at + 2 * size :]
+    table = rng.choice((perms.identity(n), perms.reversal(n)))
+    at = 14 + rng.randrange(count + 1) * size
+    grown = blob[:10] + (count + 1).to_bytes(4, "big") + blob[14:]
+    yield grown[:at] + struct.pack(f">{n}H", *table) + grown[at:]
+
+
+def test_deserialize_agrees_with_the_validator_on_corrupted_encodings(rng):
+    codes = set()
+    for n in (2, 3, 8, 16):
+        for _ in range(60):
+            x = B.normalize(random_braid_word(rng, n, rng.randrange(0, 4 * n)))
+            for data in mutations(rng, serialize(x), n):
+                code, decoded = reference_decode(data)
+                if decoded is not None:
+                    try:
+                        B.validate_canonical_form(*decoded)
+                    except InvalidParameterError:
+                        assert code is not None
+                        with pytest.raises(InvalidParameterError):
+                            B.CanonicalForm(*decoded)
+                    else:
+                        assert code is None
+                if code is None:
+                    assert deserialize(data) == B.CanonicalForm(*decoded)
+                else:
+                    with pytest.raises(EncodingError) as exc:
+                        deserialize(data)
+                    assert exc.value.code == code
+                codes.add(code)
+    assert {None, "not-bijective", "not-canonical", "truncated"} <= codes
