@@ -7,21 +7,25 @@ rounds, sending a VERDICT after each. The connection closes after the final
 verdict. Malformed input is answered with an ERROR frame and a close; the
 server never lets a bad peer take it down.
 
-Connections are handled on their own threads and share nothing but the
-listening socket and the seed counter, so concurrent sessions stay
-independent.
+Connections are handled on their own threads. They share the listening
+socket and the seed counter, and, through the engine, the pair memo
+(``braid._PAIR_MEMO`` and ``_TABLE_POOL``), ``power``'s cache and the
+``flip``/``left_complement`` caches. Those caches hold values that depend only
+on their arguments, so concurrent sessions still give the outputs they would
+give alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hmac
 import socket
 import threading
 
 from . import wire
 from .errors import BraidAuthError, FrameError, InvalidParameterError
-from .hashing import serialize
-from .protocol import Response, SchemeIKeyPair, SchemeIIKeyPair
+from .hashing import DIGEST_SIZE, serialize
+from .protocol import SchemeIKeyPair, SchemeIIKeyPair
 from .rng import DeterministicRng
 from .sampling import SamplerConfig
 
@@ -147,8 +151,8 @@ class VerifierServer:
             # prover's delayed ACK. send_frame writes a frame in one call.
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._run_session(conn)
-        except (OSError, BraidAuthError):
-            pass
+        except (OSError, BraidAuthError) as exc:
+            self._log(f"session ended: {type(exc).__name__}: {exc}")
         finally:
             try:
                 conn.close()
@@ -201,12 +205,20 @@ class VerifierServer:
 
         sampler = dataclasses.replace(self._sampler, n=pub.n)
         rng = self._next_session_rng()
+        # The digest a round accepts depends only on the public key and the
+        # verifier's ephemerals, so each round computes it, and draws the next
+        # round's challenge, while the prover computes its response. Challenges
+        # are drawn in round order, so a seed gives the same ones whenever they
+        # are drawn. The next round's c, d (or b) live across the wait for the response;
+        # power's cache also holds them and their powers until 256 newer
+        # (braid, exponent) pairs push them out. A peer that reads a challenge
+        # and never answers costs one digest and at most one more challenge.
+        challenge = pub.scheme.challenge(pub, sampler, rng)
         for round_index in range(self.rounds):
-            # The challenge secrets are not kept past the round here, but
-            # power's cache holds them and their powers until 256 newer
-            # (braid, exponent) pairs push them out.
-            challenge = pub.scheme.challenge(pub, sampler, rng)
             wire.send_frame(conn, wire.MSG_CHALLENGE, serialize(challenge.Y))
+            expected = pub.scheme.expected_digest(pub, challenge)
+            if round_index + 1 < self.rounds:
+                challenge = pub.scheme.challenge(pub, sampler, rng)
             try:
                 frame = wire.recv_frame(conn)
             except FrameError as exc:
@@ -218,10 +230,10 @@ class VerifierServer:
             if msg_type != wire.MSG_RESPONSE:
                 self._refuse(conn, wire.ERR_PROTOCOL, f"expected RESPONSE, got type {msg_type}")
                 return
-            if len(payload) != 32:
+            if len(payload) != DIGEST_SIZE:
                 self._refuse(conn, wire.ERR_BAD_LENGTH, f"response payload is {len(payload)} bytes")
                 return
-            accepted = pub.scheme.verify(pub, challenge, Response(payload))
+            accepted = hmac.compare_digest(expected, payload)
             self._log(f"round {round_index + 1}/{self.rounds}: verdict={int(accepted)}")
             wire.send_frame(conn, wire.MSG_VERDICT, wire.pack_verdict(accepted, round_index))
 

@@ -9,11 +9,13 @@ same bytes by a round trip.
 """
 
 import hashlib
+import socket
 
 import pytest
 
 import braidauth.protocol as P
 from braidauth import wire
+from braidauth.netpair import VerifierServer
 from braidauth.rng import DeterministicRng
 from braidauth.sampling import SamplerConfig
 
@@ -102,3 +104,45 @@ def test_parsers_give_back_the_golden_bytes(scheme, n):
     assert parsed == keys
     assert P.format_public_key(parsed.public) == public_text
     assert P.format_secret_key(parsed) == secret_text
+
+
+# scheme -> SHA-256 of one honest session served over TCP at n=8: a line per
+# round with the challenge Y's bytes, the response Z and the verdict.
+GOLDEN_SERVED = {
+    1: "21736e56dca4b69aee98cd805ed99675def27b4769ab6867196d436e280749a8",
+    2: "93fa375ee9490675ba8f5d241ce39ef682a31181955ca8813d9f8067a4e12bfb",
+}
+
+
+def _served_transcript(keys):
+    srv = VerifierServer(rounds=3, word_length=16, seed=41)
+    srv.start()
+    lines = []
+    try:
+        with socket.create_connection(srv.address, timeout=10) as conn:
+            wire.send_frame(conn, wire.MSG_HELLO, wire.pack_hello(keys.public))
+            while (frame := wire.recv_frame(conn)) is not None:
+                msg_type, payload = frame
+                if msg_type == wire.MSG_CHALLENGE:
+                    Y = payload
+                    Z = keys.scheme.respond(keys, wire.unpack_challenge(Y)).digest
+                    wire.send_frame(conn, wire.MSG_RESPONSE, Z)
+                else:
+                    assert msg_type == wire.MSG_VERDICT
+                    accepted, round_index = wire.unpack_verdict(payload)
+                    lines.append(f"{round_index} Y={Y.hex()} Z={Z.hex()} verdict={int(accepted)}")
+    finally:
+        srv.stop()
+    return lines
+
+
+@pytest.mark.parametrize("scheme", sorted(GOLDEN_SERVED))
+def test_served_session_is_the_golden_transcript(scheme):
+    # The verifier's challenges come off the wire in the order it draws them,
+    # so a reordered draw, or a digest computed from other ephemerals, shows.
+    keys, _ = _keys(scheme, 8)
+    lines = _served_transcript(keys)
+    assert [line[0] for line in lines] == ["0", "1", "2"]
+    assert all(line.endswith("verdict=1") for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_SERVED[scheme]

@@ -1,5 +1,6 @@
 import random
 import socket
+import struct
 import threading
 import time
 
@@ -264,6 +265,66 @@ def test_wire_round_trip_of_recorded_session(server):
                     pass
     assert len(challenges) == 3
     assert len(set(serialize(c) for c in challenges)) == 3
+
+
+def _wait_for(predicate, what, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+def test_reset_session_is_logged_and_server_keeps_serving():
+    lines = []
+    srv = VerifierServer(rounds=3, word_length=16, seed=5, log=lines.append)
+    srv.start()
+    host, port = srv.address
+    keys = make_keys(1)
+    try:
+        with socket.create_connection((host, port), timeout=10) as conn:
+            W.send_frame(conn, W.MSG_HELLO, W.pack_hello(keys.public))
+            assert W.recv_frame(conn)[0] == W.MSG_CHALLENGE
+            # Linger on with a zero timeout: the close sends a reset, not a FIN.
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        _wait_for(lambda: any(x.startswith("session ended: ConnectionResetError") for x in lines),
+                  "the reset to be logged")
+        # A session error is not a refusal, which the benchmark counts apart.
+        assert not any(x.startswith("refusing connection") for x in lines)
+        assert all(v.accepted for v in run_prover(host, port, keys))
+    finally:
+        srv.stop()
+
+
+@pytest.mark.parametrize("rounds,challenges", [(3, 2), (1, 1)])
+def test_silent_peer_costs_one_digest_and_at_most_one_more_challenge(
+    monkeypatch, rounds, challenges
+):
+    keys = make_keys(1, seed=29)
+    calls = {"challenge": 0, "expected": 0}
+
+    def counting(name, original):
+        def wrapper(pub, *args):
+            result = original(pub, *args)
+            if pub == keys.public:
+                calls[name] += 1
+            return result
+        return wrapper
+
+    # The Scheme value calls these by their module-global names.
+    monkeypatch.setattr(P, "challenge1", counting("challenge", P.challenge1))
+    monkeypatch.setattr(P, "_expected_digest1", counting("expected", P._expected_digest1))
+    srv = VerifierServer(rounds=rounds, word_length=16, seed=9)
+    srv.start()
+    try:
+        with socket.create_connection(srv.address, timeout=10) as conn:
+            W.send_frame(conn, W.MSG_HELLO, W.pack_hello(keys.public))
+            assert W.recv_frame(conn)[0] == W.MSG_CHALLENGE
+            want = {"challenge": challenges, "expected": 1}
+            _wait_for(lambda: calls == want, f"{want}, have {calls}")
+            time.sleep(0.3)
+            assert calls == want
+    finally:
+        srv.stop()
 
 
 def send_fuzz_frame(host, port, rng):
