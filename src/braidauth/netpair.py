@@ -21,6 +21,7 @@ import dataclasses
 import hmac
 import socket
 import threading
+import time
 
 from . import wire
 from .errors import BraidAuthError, FrameError, InvalidParameterError
@@ -31,12 +32,16 @@ from .sampling import SamplerConfig
 
 # The verifier's cost per round grows with the strand count, the exponents and
 # the size of the key the client's HELLO names, so a HELLO over any of these
-# limits is refused before any sampling or braid arithmetic runs. Each limit
-# sits well above what the tests, demos, CLI and benchmark send over TCP
-# (n <= 16, small exponents, keys of at most a few hundred factors):
+# limits is refused from its head and braid headers, before any table in it is
+# decoded. Each limit sits well above what the tests, demos, CLI and benchmark
+# send over TCP (n <= 16, small exponents, keys of at most a few hundred
+# factors):
 # - power loops once per unit of exponent, and its cost grows about
 #   quadratically with it;
-# - 64 strands is the widest the pair memo holds at its full pair count;
+# - at 64 strands the engine caches a client can fill hold under about 80 MB:
+#   the pair memo clears at 16,384 pairs (8 MB in a measured n=64 run, at
+#   most about 40 MB if every pair held four tables of its own), and flip and
+#   left_complement keep at most 16,384 tables each, under 20 MB apiece;
 # - 1024 factors bounds the size of X and of scheme 2's base, which every
 #   round multiplies in.
 MAX_EXPONENT = 64
@@ -45,6 +50,11 @@ MAX_KEY_FACTORS = 1024
 # A length-0 challenge is the identity, passed by answering hash(X) with no
 # secret. 8 is the shortest the tests, demos, CLI and benchmark ask for.
 MIN_CHALLENGE_LENGTH = 8
+# How long the verifier waits for one recv, and for one whole frame: a frame
+# still incomplete when a chunk arrives after this long ends the session. A
+# peer that trickles bytes holds a session for at most about twice this per
+# frame, over rounds + 1 frames.
+READ_TIMEOUT_S = 30.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,7 +155,7 @@ class VerifierServer:
 
     def _serve_connection(self, conn: socket.socket, peer) -> None:
         try:
-            conn.settimeout(30.0)
+            conn.settimeout(READ_TIMEOUT_S)
             # Each round writes VERDICT then the next CHALLENGE with no read in
             # between; with Nagle on, the second frame would wait for the
             # prover's delayed ACK. send_frame writes a frame in one call.
@@ -166,24 +176,24 @@ class VerifierServer:
         except OSError:
             pass
 
-    def _hello_refusal(self, pub) -> str | None:
-        """Why a HELLO is refused before any sampling or braid arithmetic."""
-        scheme = pub.scheme
-        exponents = scheme.exponents(pub)
-        key_factors = max(len(k.factors) for k in scheme.key_braids(pub))
+    def _admit_hello(self, scheme, n: int, exponents, factor_counts) -> None:
+        """Refuse a HELLO over a limit, from its head and braid headers."""
+        key_factors = max(factor_counts)
         if self.expect_scheme not in (None, scheme.number):
-            return f"scheme {scheme.number} offered, {self.expect_scheme} required"
-        if max(exponents) > MAX_EXPONENT:
-            return f"exponents {exponents} exceed {MAX_EXPONENT}"
-        if pub.n > MAX_SERVED_STRANDS:
-            return f"strand count {pub.n} exceeds {MAX_SERVED_STRANDS}"
-        if key_factors > MAX_KEY_FACTORS:
-            return f"key has {key_factors} factors, over {MAX_KEY_FACTORS}"
-        return None
+            why = f"scheme {scheme.number} offered, {self.expect_scheme} required"
+        elif max(exponents) > MAX_EXPONENT:
+            why = f"exponents {exponents} exceed {MAX_EXPONENT}"
+        elif n > MAX_SERVED_STRANDS:
+            why = f"strand count {n} exceeds {MAX_SERVED_STRANDS}"
+        elif key_factors > MAX_KEY_FACTORS:
+            why = f"key has {key_factors} factors, over {MAX_KEY_FACTORS}"
+        else:
+            return
+        raise FrameError(wire.ERR_PROTOCOL, why)
 
     def _run_session(self, conn: socket.socket) -> None:
         try:
-            first = wire.recv_frame(conn)
+            first = wire.recv_frame(conn, time.monotonic() + READ_TIMEOUT_S)
         except FrameError as exc:
             self._refuse(conn, exc.code, str(exc))
             return
@@ -194,13 +204,9 @@ class VerifierServer:
             self._refuse(conn, wire.ERR_PROTOCOL, f"expected HELLO, got type {msg_type}")
             return
         try:
-            pub = wire.unpack_hello(payload)
+            pub = wire.unpack_hello(payload, self._admit_hello)
         except FrameError as exc:
             self._refuse(conn, exc.code, str(exc))
-            return
-        why = self._hello_refusal(pub)
-        if why is not None:
-            self._refuse(conn, wire.ERR_PROTOCOL, why)
             return
 
         sampler = dataclasses.replace(self._sampler, n=pub.n)
@@ -220,7 +226,7 @@ class VerifierServer:
             if round_index + 1 < self.rounds:
                 challenge = pub.scheme.challenge(pub, sampler, rng)
             try:
-                frame = wire.recv_frame(conn)
+                frame = wire.recv_frame(conn, time.monotonic() + READ_TIMEOUT_S)
             except FrameError as exc:
                 self._refuse(conn, exc.code, str(exc))
                 return

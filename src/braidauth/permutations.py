@@ -70,14 +70,16 @@ def inversion_count(table: Sequence[int]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if table[i] > table[j])
 
 
-@functools.lru_cache(maxsize=65536)
+# Both caches are bounded by entry count, so their bytes grow with n: at
+# n=64 a full cache holds under 20 MB, its keys included.
+@functools.lru_cache(maxsize=16384)
 def flip(table: PermTable) -> PermTable:
     """Conjugate by the reversal: the index-flip automorphism on factors."""
     n = len(table)
     return tuple(n - 1 - table[n - 1 - x] for x in range(n))
 
 
-@functools.lru_cache(maxsize=65536)
+@functools.lru_cache(maxsize=16384)
 def left_complement(table: PermTable) -> PermTable:
     """The factor c with c * table = reversal and lengths adding up.
 

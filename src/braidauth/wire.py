@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import time
 
 from .errors import EncodingError, FrameError
 from .hashing import deserialize, serialize
@@ -42,8 +43,13 @@ _HELLO_HEAD = struct.Struct(">BHII")
 _VERDICT = struct.Struct(">BH")
 
 
-def recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    """Read exactly ``count`` bytes, or None on a clean EOF at a boundary."""
+def recv_exact(sock: socket.socket, count: int, deadline: float | None = None) -> bytes | None:
+    """Read exactly ``count`` bytes, or None on a clean EOF at a boundary.
+
+    With a ``deadline`` (a ``time.monotonic()`` value), raise
+    :class:`TimeoutError` once a chunk arrives after it. The socket's own
+    timeout still bounds each wait for a chunk.
+    """
     chunks = []
     got = 0
     while got < count:
@@ -52,6 +58,8 @@ def recv_exact(sock: socket.socket, count: int) -> bytes | None:
             return None
         chunks.append(chunk)
         got += len(chunk)
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(f"frame not complete by its deadline ({got} bytes read)")
     return b"".join(chunks)
 
 
@@ -59,19 +67,20 @@ def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> None
     sock.sendall(_LEN.pack(len(payload) + 1) + bytes([msg_type]) + payload)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes] | None:
+def recv_frame(sock: socket.socket, deadline: float | None = None) -> tuple[int, bytes] | None:
     """Read one frame. None on clean EOF before a frame starts.
 
     Raises :class:`FrameError` for zero or oversized lengths, truncated
-    bodies, and unknown message types.
+    bodies, and unknown message types, and :class:`TimeoutError` when a
+    ``deadline`` is given and the frame is not complete by then.
     """
-    head = recv_exact(sock, _LEN.size)
+    head = recv_exact(sock, _LEN.size, deadline)
     if head is None:
         return None
     (length,) = _LEN.unpack(head)
     if length < 1 or length > MAX_FRAME:
         raise FrameError(ERR_BAD_LENGTH, f"frame length {length} outside [1, {MAX_FRAME}]")
-    body = recv_exact(sock, length)
+    body = recv_exact(sock, length, deadline)
     if body is None:
         raise FrameError(ERR_BAD_LENGTH, "connection closed mid-frame")
     msg_type = body[0]
@@ -86,39 +95,50 @@ def pack_hello(pub: "SchemeIPublic | SchemeIIPublic") -> bytes:
     return head + b"".join(serialize(x) for x in scheme.key_braids(pub))
 
 
-def _split_braid(blob: bytes) -> tuple[bytes, bytes]:
-    """Cut one self-delimiting braid encoding off the front of ``blob``."""
+def _split_braid(blob: bytes, n: int) -> tuple[bytes, int, bytes]:
+    """Cut one self-delimiting braid encoding of ``n`` strands off the front
+    of ``blob``: the encoding, its factor count and the rest. No table is
+    decoded."""
     if len(blob) < 14:
         raise FrameError(ERR_MALFORMED, "braid encoding truncated")
-    n = int.from_bytes(blob[4:6], "big")
+    if int.from_bytes(blob[4:6], "big") != n:
+        raise FrameError(ERR_MALFORMED, "strand count mismatch inside hello")
     count = int.from_bytes(blob[10:14], "big")
     size = 14 + count * 2 * n
     if len(blob) < size:
         raise FrameError(ERR_MALFORMED, "braid encoding truncated")
-    return blob[:size], blob[size:]
+    return blob[:size], count, blob[size:]
 
 
-def unpack_hello(payload: bytes) -> "SchemeIPublic | SchemeIIPublic":
+def unpack_hello(payload: bytes, admit=None) -> "SchemeIPublic | SchemeIIPublic":
+    """Decode a HELLO into the public key it carries.
+
+    ``admit(scheme, n, exponents, factor_counts)``, when given, runs once the
+    head and each braid's header are read and before any table is decoded;
+    a :class:`FrameError` it raises refuses the HELLO at that point.
+    """
     if len(payload) < _HELLO_HEAD.size:
         raise FrameError(ERR_BAD_LENGTH, "hello payload too short")
     number, n, exp1, exp2 = _HELLO_HEAD.unpack_from(payload)
     scheme = SCHEMES.get(number)
     if scheme is None:
         raise FrameError(ERR_MALFORMED, f"unknown scheme byte {number}")
-    rest = payload[_HELLO_HEAD.size :]
-    braids = []
-    try:
-        for _ in scheme.hello_braids:
-            blob, rest = _split_braid(rest)
-            braids.append(deserialize(blob))
-    except EncodingError as exc:
-        raise FrameError(ERR_MALFORMED, f"bad braid in hello: {exc}") from exc
-    if rest:
-        raise FrameError(ERR_MALFORMED, "trailing bytes after hello")
-    if any(x.n != n for x in braids):
-        raise FrameError(ERR_MALFORMED, "strand count mismatch inside hello")
     if exp1 < 2 or exp2 < 2:
         raise FrameError(ERR_MALFORMED, f"exponents must be >= 2, got {exp1}, {exp2}")
+    rest = payload[_HELLO_HEAD.size :]
+    blobs, counts = [], []
+    for _ in scheme.hello_braids:
+        blob, count, rest = _split_braid(rest, n)
+        blobs.append(blob)
+        counts.append(count)
+    if rest:
+        raise FrameError(ERR_MALFORMED, "trailing bytes after hello")
+    if admit is not None:
+        admit(scheme, n, (exp1, exp2), tuple(counts))
+    try:
+        braids = [deserialize(blob) for blob in blobs]
+    except EncodingError as exc:
+        raise FrameError(ERR_MALFORMED, f"bad braid in hello: {exc}") from exc
     return scheme.public_of(n, (exp1, exp2), braids)
 
 

@@ -438,19 +438,20 @@ def test_pair_kernel_matches_reference_random(rng):
 
 
 def test_pair_memo_is_bounded_by_table_entries(rng, monkeypatch):
-    def limit(n):
-        return min(B._PAIR_MEMO_LIMIT, B._PAIR_MEMO_BUDGET // n)
+    def cap(n):
+        return B._PAIR_MEMO_BUDGET // n
 
-    assert limit(8) == limit(64) == 1 << 17
-    assert limit(256) == 1 << 15 and limit(1024) == 1 << 13
-    # A small budget shows the bound at n=256 without filling 2^15 entries.
+    assert cap(8) == 1 << 17 and cap(64) == 1 << 14
+    assert cap(256) == 1 << 12 and cap(1024) == 1 << 10
+    # A small budget shows the bound at n=256 without filling 2^12 pairs.
     monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", 256 * 40)
     _fresh_pair_memo(monkeypatch)
     largest = 0
     for _ in range(6):
         B.normalize(random_braid_word(rng, 256, 48))
         largest = max(largest, _memo_pairs())
-        assert _memo_pairs() <= 40
+        assert _memo_pairs() <= cap(256)
+        assert len(B._TABLE_POOL) <= 2 * cap(256)
     assert largest > 20
 
 
@@ -484,7 +485,7 @@ def test_equal_kernel_outputs_are_one_object(monkeypatch):
 
 def test_table_pool_is_emptied_with_the_memo(rng, monkeypatch):
     _fresh_pair_memo(monkeypatch)
-    monkeypatch.setattr(B, "_PAIR_MEMO_LIMIT", 8)
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", 8 * 8)
 
     def shuffled():
         table = list(range(8))
@@ -507,7 +508,7 @@ def test_table_pool_is_emptied_with_the_memo(rng, monkeypatch):
 
 def test_shared_pair_memo_under_thread_switches(rng, monkeypatch):
     _fresh_pair_memo(monkeypatch)
-    monkeypatch.setattr(B, "_PAIR_MEMO_LIMIT", 64)
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", 8 * 64)
     words = [random_braid_word(rng, 8, 48) for _ in range(30)]
     expected = [B.normalize(w) for w in words]
     wrong = []

@@ -6,10 +6,11 @@ import time
 
 import pytest
 
+import braidauth.netpair as N
 import braidauth.protocol as P
 import braidauth.wire as W
 from braidauth.errors import FrameError, InvalidParameterError
-from braidauth.hashing import serialize
+from braidauth.hashing import deserialize, serialize
 from braidauth.braid import CanonicalForm
 from braidauth.netpair import (
     MAX_EXPONENT,
@@ -96,6 +97,11 @@ def test_hello_rejects_garbage():
         W.unpack_hello(blob + b"\x00")
     with pytest.raises(FrameError):
         W.unpack_hello(b"\x07" + blob[1:])
+    # An empty braid of 16 strands in an 8-strand HELLO: only the strand
+    # counts disagree.
+    with pytest.raises(FrameError) as exc:
+        W.unpack_hello(blob[:11] + serialize(CanonicalForm(16, 0, ())))
+    assert exc.value.code == W.ERR_MALFORMED
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +228,30 @@ def test_oversized_keys_are_refused_before_any_sampling(server):
     assert frame is not None and frame[0] == W.MSG_CHALLENGE
 
 
+def test_over_limit_hello_is_refused_before_any_table_is_decoded(server, monkeypatch):
+    # 1,025 n=64 tables alternating sigma1 and sigma2: not left weighted, and
+    # one factor over the key limit. The limit is read from the braid header.
+    n = 64
+    sigma = [(1, 0) + tuple(range(2, n)), (0, 2, 1) + tuple(range(3, n))]
+    tables = [sigma[k % 2] for k in range(MAX_KEY_FACTORS + 1)]
+    X = struct.pack(">4sHiI", b"BCF1", n, 0, len(tables)) + b"".join(
+        struct.pack(f">{n}H", *t) for t in tables
+    )
+    decoded = []
+
+    def counting_deserialize(data):
+        decoded.append(len(data))
+        return deserialize(data)
+
+    monkeypatch.setattr(W, "deserialize", counting_deserialize)
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=10) as conn:
+        W.send_frame(conn, W.MSG_HELLO, struct.pack(">BHII", 1, n, 2, 2) + X)
+        assert W.recv_frame(conn) == (W.MSG_ERROR, bytes([W.ERR_PROTOCOL]))
+    assert decoded == []
+    assert all(v.accepted for v in run_prover(host, port, make_keys(1)))
+
+
 def test_session_sockets_send_without_nagle(server, monkeypatch):
     sent = []
     send_frame = W.send_frame
@@ -290,6 +320,38 @@ def test_reset_session_is_logged_and_server_keeps_serving():
                   "the reset to be logged")
         # A session error is not a refusal, which the benchmark counts apart.
         assert not any(x.startswith("refusing connection") for x in lines)
+        assert all(v.accepted for v in run_prover(host, port, keys))
+    finally:
+        srv.stop()
+
+
+def test_trickled_frame_times_out_and_server_keeps_serving(monkeypatch):
+    monkeypatch.setattr(N, "READ_TIMEOUT_S", 0.5)
+    lines = []
+    srv = VerifierServer(rounds=3, word_length=16, seed=5, log=lines.append)
+    srv.start()
+    host, port = srv.address
+    keys = make_keys(1)
+    hello = W.pack_hello(keys.public)
+    frame = struct.pack(">I", len(hello) + 1) + bytes([W.MSG_HELLO]) + hello
+
+    def timed_out():
+        return any(x.startswith("session ended: TimeoutError") for x in lines)
+
+    try:
+        start = time.monotonic()
+        with socket.create_connection((host, port), timeout=10) as conn:
+            # One byte per 0.1 s: every recv is answered well inside its timeout.
+            for byte in frame:
+                if timed_out() or time.monotonic() - start > 2.0:
+                    break
+                try:
+                    conn.sendall(bytes([byte]))
+                except OSError:
+                    break
+                time.sleep(0.1)
+            _wait_for(timed_out, "the trickled HELLO to time out", timeout=2.0)
+        assert time.monotonic() - start < 2.0
         assert all(v.accepted for v in run_prover(host, port, keys))
     finally:
         srv.stop()
