@@ -277,7 +277,7 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 # The kernel's output tables are interned in _TABLE_POOL, so the memo and the
 # factor lists built from it share one tuple per distinct table, and later
 # lookups with those tables match keys by identity. The pool is emptied with
-# the memo. Session threads share both without a lock: a racing insert may be
+# the memo. Threads share both without a lock: a racing insert may be
 # lost and the count may be off by a few, which costs at most a recomputation
 # or a clear a few pairs early or late.
 _PAIR_MEMO: dict[PermTable, dict[PermTable, "tuple[PermTable, PermTable] | None"]] = {}

@@ -7,21 +7,26 @@ rounds, sending a VERDICT after each. The connection closes after the final
 verdict. Malformed input is answered with an ERROR frame and a close; the
 server never lets a bad peer take it down.
 
-Connections are handled on their own threads. They share the listening
-socket and the seed counter, and, through the engine, the pair memo
-(``braid._PAIR_MEMO`` and ``_TABLE_POOL``), ``power``'s cache and the
-``flip``/``left_complement`` caches. Those caches hold values that depend only
-on their arguments, so concurrent sessions still give the outputs they would
-give alone.
+One thread serves every connection: ``serve_forever`` is a ``selectors``
+loop that accepts, reads frames, runs session steps and writes, all without
+blocking. Each session is a generator that yields where it waits for the
+peer's next frame; a step (expected digest plus next challenge) runs to
+completion before the loop serves anyone else. Sessions still share the
+engine caches (``braid._PAIR_MEMO`` and ``_TABLE_POOL``, ``power``'s cache and
+the ``flip``/``left_complement`` caches); those hold values that depend only
+on their arguments, so interleaved sessions give the outputs they would give
+alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hmac
+import selectors
 import socket
 import threading
 import time
+import traceback
 
 from . import wire
 from .errors import BraidAuthError, FrameError, InvalidParameterError
@@ -44,17 +49,30 @@ from .sampling import SamplerConfig
 #   left_complement keep at most 16,384 tables each, under 20 MB apiece;
 # - 1024 factors bounds the size of X and of scheme 2's base, which every
 #   round multiplies in.
+# One thread runs every session's steps, so a session at all of these limits
+# delays the others by its whole step: with a 1,024-factor key and challenge
+# length 32, expected digest plus next challenge took 0.9-2.0 s per round
+# (Python 3.11, one core of a 2-vCPU Xeon VM).
 MAX_EXPONENT = 64
 MAX_SERVED_STRANDS = 64
 MAX_KEY_FACTORS = 1024
 # A length-0 challenge is the identity, passed by answering hash(X) with no
 # secret. 8 is the shortest the tests, demos, CLI and benchmark ask for.
 MIN_CHALLENGE_LENGTH = 8
-# How long the verifier waits for one recv, and for one whole frame: a frame
-# still incomplete when a chunk arrives after this long ends the session. A
-# peer that trickles bytes holds a session for at most about twice this per
-# frame, over rounds + 1 frames.
+# How long the verifier waits for each frame: from the end of a session's
+# step (or from the accept, for HELLO) until the next frame is whole and every
+# byte the step wrote has left. A session that misses it ends with
+# TimeoutError, so a peer that trickles bytes or stops reading holds a session
+# for at most this long per frame, over rounds + 1 frames.
 READ_TIMEOUT_S = 30.0
+# The listen backlog, and the most connections accepted before the loop next
+# serves the open sessions.
+LISTEN_BACKLOG = 128
+# Open connections the verifier serves at once; the next connection gets an
+# ERROR frame (ERR_BUSY) and is closed. Accepting at most one backlog per loop
+# pass, after serving the sessions already open, keeps a burst of connects
+# under it.
+MAX_OPEN_SESSIONS = 2 * LISTEN_BACKLOG
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,14 +81,30 @@ class RoundVerdict:
     accepted: bool
 
 
+class _Session:
+    """One open connection: its socket, the frame read so far, the bytes the
+    socket has not taken yet, the session generator (None once it is done)
+    and when the next frame is due."""
+
+    __slots__ = ("conn", "buf", "out", "steps", "deadline")
+
+    def __init__(self, conn: socket.socket):
+        self.conn = conn
+        self.buf = bytearray()
+        self.out = b""
+        self.steps = None
+        self.deadline = time.monotonic() + READ_TIMEOUT_S
+
+
 class VerifierServer:
-    """Threaded TCP verifier.
+    """TCP verifier: one ``selectors`` loop on one thread serves every session.
 
     ``word_length``/``min_canonical_length`` parameterize challenge sampling,
     with ``word_length`` at least ``MIN_CHALLENGE_LENGTH``; the strand count
     always comes from the client's HELLO. When ``expect_scheme`` is set, a
     HELLO for the other scheme is refused. With ``max_sessions`` set, the
-    listener stops after that many connections.
+    listener stops after that many connections and the loop returns once the
+    last of them ends.
     """
 
     def __init__(
@@ -101,13 +135,17 @@ class VerifierServer:
         self._log = log or (lambda msg: None)
         self._rng = DeterministicRng(seed, "verifier-server")
         self._session_counter = 0
-        self._lock = threading.Lock()
+        self._accepted = 0
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
-        self._sock.listen(128)
+        self._sock.listen(LISTEN_BACKLOG)
+        self._sock.setblocking(False)
         self._stopped = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._selector = selectors.DefaultSelector()
+        self._sessions: set[_Session] = set()
+        # stop() writes a byte here to wake the loop from select().
+        self._wake_r, self._wake_w = socket.socketpair()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -116,22 +154,35 @@ class VerifierServer:
     # -- lifecycle ----------------------------------------------------------
 
     def serve_forever(self) -> None:
-        """Accept until stopped (or until max_sessions connections)."""
-        served = 0
-        while not self._stopped.is_set():
-            if self.max_sessions is not None and served >= self.max_sessions:
-                break
-            try:
-                conn, peer = self._sock.accept()
-            except OSError:
-                break
-            served += 1
-            t = threading.Thread(target=self._serve_connection, args=(conn, peer), daemon=True)
-            t.start()
-            # Keep only live threads so a long run does not grow the list.
-            self._threads = [x for x in self._threads if x.is_alive()] + [t]
-        for t in self._threads:
-            t.join(timeout=10.0)
+        """Serve until stopped (or until max_sessions connections have ended)."""
+        sel = self._selector
+        sel.register(self._wake_r, selectors.EVENT_READ)
+        listening = self.max_sessions is None or self.max_sessions > 0
+        if listening:
+            sel.register(self._sock, selectors.EVENT_READ)
+        try:
+            while not self._stopped.is_set() and (listening or self._sessions):
+                due = min((s.deadline for s in self._sessions), default=None)
+                timeout = None if due is None else max(0.0, due - time.monotonic())
+                events = sel.select(timeout)
+                for key, _ in events:
+                    if key.data is not None:
+                        self._serve(key.data)
+                if any(key.fileobj is self._sock for key, _ in events) and not self._accept():
+                    sel.unregister(self._sock)
+                    listening = False
+                now = time.monotonic()
+                for sess in [s for s in self._sessions if s.deadline <= now]:
+                    self._end(sess, TimeoutError(
+                        f"frame not complete by its deadline ({len(sess.buf)} bytes read,"
+                        f" {len(sess.out)} unsent)"
+                    ))
+        finally:
+            for sess in list(self._sessions):
+                self._end(sess)
+            sel.close()
+            for sock in (self._sock, self._wake_r, self._wake_w):
+                sock.close()
 
     def start(self) -> threading.Thread:
         """Run serve_forever on a daemon thread; returns the thread."""
@@ -140,39 +191,109 @@ class VerifierServer:
         return t
 
     def stop(self) -> None:
+        """Make serve_forever return; it closes the listener and every open
+        connection on its way out."""
         self._stopped.set()
         try:
-            self._sock.close()
+            self._wake_w.send(b"\0")
         except OSError:
             pass
+
+    # -- the loop -----------------------------------------------------------
+
+    def _accept(self) -> bool:
+        """Accept the pending connections, at most one backlog of them; False
+        once the listener is done (max_sessions reached, or it failed)."""
+        for _ in range(LISTEN_BACKLOG):
+            if self._accepted == self.max_sessions:
+                break
+            try:
+                conn, _ = self._sock.accept()
+            except (BlockingIOError, ConnectionAbortedError):
+                break
+            except OSError:
+                return False
+            self._accepted += 1
+            try:
+                conn.setblocking(False)
+                # Each round writes VERDICT then the next CHALLENGE with no
+                # read in between; with Nagle on, the second frame would wait
+                # for the prover's delayed ACK.
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                if len(self._sessions) >= MAX_OPEN_SESSIONS:
+                    self._log(f"refusing connection: {MAX_OPEN_SESSIONS} sessions already open")
+                    wire.send_frame(conn, wire.MSG_ERROR, bytes([wire.ERR_BUSY]))
+                    conn.close()
+                    continue
+            except OSError:
+                conn.close()
+                continue
+            sess = _Session(conn)
+            sess.steps = self._run_session(sess)
+            next(sess.steps)
+            self._sessions.add(sess)
+            self._selector.register(conn, selectors.EVENT_READ, sess)
+        return self._accepted != self.max_sessions
+
+    def _serve(self, sess: _Session) -> None:
+        """Flush the session's unsent bytes, or read its next frame and run
+        the step that frame starts. A session with unsent bytes reads nothing,
+        so a peer that stops reading holds at most one step's frames."""
+        flushing = bool(sess.out)
+        try:
+            if flushing:
+                sess.out = sess.out[sess.conn.send(sess.out) :]
+            elif (frame := wire.recv_frame(sess.conn, sess.buf)) is None:
+                sess.steps = None
+            else:
+                sess.steps.send(frame)
+        except BlockingIOError:
+            return
+        except StopIteration:
+            sess.steps = None
+        except FrameError as exc:
+            self._refuse(sess, exc.code, str(exc))
+            sess.steps = None
+        except (OSError, BraidAuthError) as exc:
+            self._end(sess, exc)
+            return
+        except Exception as exc:  # a fault in one session must not stop the loop
+            traceback.print_exc()
+            self._end(sess, exc)
+            return
+        if not flushing:
+            # A whole frame was read and its step has run: the next is due
+            # READ_TIMEOUT_S from now, with whatever this step wrote sent.
+            sess.deadline = time.monotonic() + READ_TIMEOUT_S
+        if not sess.out and sess.steps is None:
+            self._end(sess)
+        elif bool(sess.out) != flushing:
+            events = selectors.EVENT_WRITE if sess.out else selectors.EVENT_READ
+            self._selector.modify(sess.conn, events, sess)
+
+    def _end(self, sess: _Session, exc: BaseException | None = None) -> None:
+        if exc is not None:
+            self._log(f"session ended: {type(exc).__name__}: {exc}")
+        self._sessions.discard(sess)
+        self._selector.unregister(sess.conn)
+        sess.conn.close()
 
     # -- per-connection protocol --------------------------------------------
 
     def _next_session_rng(self) -> DeterministicRng:
-        with self._lock:
-            self._session_counter += 1
-            return self._rng.spawn(f"session-{self._session_counter}")
+        self._session_counter += 1
+        return self._rng.spawn(f"session-{self._session_counter}")
 
-    def _serve_connection(self, conn: socket.socket, peer) -> None:
-        try:
-            conn.settimeout(READ_TIMEOUT_S)
-            # Each round writes VERDICT then the next CHALLENGE with no read in
-            # between; with Nagle on, the second frame would wait for the
-            # prover's delayed ACK. send_frame writes a frame in one call.
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._run_session(conn)
-        except (OSError, BraidAuthError) as exc:
-            self._log(f"session ended: {type(exc).__name__}: {exc}")
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+    def _send(self, sess: _Session, msg_type: int, payload: bytes) -> None:
+        if sess.out:
+            sess.out += wire.pack_frame(msg_type, payload)
+        else:
+            sess.out = wire.send_frame(sess.conn, msg_type, payload)
 
-    def _refuse(self, conn: socket.socket, code: int, why: str) -> None:
+    def _refuse(self, sess: _Session, code: int, why: str) -> None:
         self._log(f"refusing connection: {why}")
         try:
-            wire.send_frame(conn, wire.MSG_ERROR, bytes([code]))
+            self._send(sess, wire.MSG_ERROR, bytes([code]))
         except OSError:
             pass
 
@@ -191,22 +312,17 @@ class VerifierServer:
             return
         raise FrameError(wire.ERR_PROTOCOL, why)
 
-    def _run_session(self, conn: socket.socket) -> None:
-        try:
-            first = wire.recv_frame(conn, time.monotonic() + READ_TIMEOUT_S)
-        except FrameError as exc:
-            self._refuse(conn, exc.code, str(exc))
-            return
-        if first is None:
-            return
-        msg_type, payload = first
+    def _run_session(self, sess: _Session):
+        """The session as a generator: each ``yield`` waits for the peer's
+        next frame, which the loop sends in once it is whole."""
+        msg_type, payload = yield
         if msg_type != wire.MSG_HELLO:
-            self._refuse(conn, wire.ERR_PROTOCOL, f"expected HELLO, got type {msg_type}")
+            self._refuse(sess, wire.ERR_PROTOCOL, f"expected HELLO, got type {msg_type}")
             return
         try:
             pub = wire.unpack_hello(payload, self._admit_hello)
         except FrameError as exc:
-            self._refuse(conn, exc.code, str(exc))
+            self._refuse(sess, exc.code, str(exc))
             return
 
         sampler = dataclasses.replace(self._sampler, n=pub.n)
@@ -221,27 +337,20 @@ class VerifierServer:
         # and never answers costs one digest and at most one more challenge.
         challenge = pub.scheme.challenge(pub, sampler, rng)
         for round_index in range(self.rounds):
-            wire.send_frame(conn, wire.MSG_CHALLENGE, serialize(challenge.Y))
+            self._send(sess, wire.MSG_CHALLENGE, serialize(challenge.Y))
             expected = pub.scheme.expected_digest(pub, challenge)
             if round_index + 1 < self.rounds:
                 challenge = pub.scheme.challenge(pub, sampler, rng)
-            try:
-                frame = wire.recv_frame(conn, time.monotonic() + READ_TIMEOUT_S)
-            except FrameError as exc:
-                self._refuse(conn, exc.code, str(exc))
-                return
-            if frame is None:
-                return
-            msg_type, payload = frame
+            msg_type, payload = yield
             if msg_type != wire.MSG_RESPONSE:
-                self._refuse(conn, wire.ERR_PROTOCOL, f"expected RESPONSE, got type {msg_type}")
+                self._refuse(sess, wire.ERR_PROTOCOL, f"expected RESPONSE, got type {msg_type}")
                 return
             if len(payload) != DIGEST_SIZE:
-                self._refuse(conn, wire.ERR_BAD_LENGTH, f"response payload is {len(payload)} bytes")
+                self._refuse(sess, wire.ERR_BAD_LENGTH, f"response payload is {len(payload)} bytes")
                 return
             accepted = hmac.compare_digest(expected, payload)
             self._log(f"round {round_index + 1}/{self.rounds}: verdict={int(accepted)}")
-            wire.send_frame(conn, wire.MSG_VERDICT, wire.pack_verdict(accepted, round_index))
+            self._send(sess, wire.MSG_VERDICT, wire.pack_verdict(accepted, round_index))
 
 
 class ProverError(BraidAuthError):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import time
 
 from .errors import EncodingError, FrameError
 from .hashing import deserialize, serialize
@@ -35,6 +34,7 @@ ERR_UNKNOWN_TYPE = 0x01
 ERR_BAD_LENGTH = 0x02
 ERR_MALFORMED = 0x03
 ERR_PROTOCOL = 0x04
+ERR_BUSY = 0x05
 
 MAX_FRAME = 1 << 20
 
@@ -43,50 +43,58 @@ _HELLO_HEAD = struct.Struct(">BHII")
 _VERDICT = struct.Struct(">BH")
 
 
-def recv_exact(sock: socket.socket, count: int, deadline: float | None = None) -> bytes | None:
-    """Read exactly ``count`` bytes, or None on a clean EOF at a boundary.
+def pack_frame(msg_type: int, payload: bytes = b"") -> bytes:
+    return _LEN.pack(len(payload) + 1) + bytes([msg_type]) + payload
 
-    With a ``deadline`` (a ``time.monotonic()`` value), raise
-    :class:`TimeoutError` once a chunk arrives after it. The socket's own
-    timeout still bounds each wait for a chunk.
+
+def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> bytes:
+    """Write one frame and return the bytes the socket did not take.
+
+    A blocking socket takes the whole frame. A non-blocking one takes what
+    fits in its send buffer; the caller sends the rest once it is writable.
     """
-    chunks = []
-    got = 0
-    while got < count:
-        chunk = sock.recv(count - got)
+    frame = pack_frame(msg_type, payload)
+    if sock.gettimeout() != 0.0:
+        sock.sendall(frame)
+        return b""
+    try:
+        return frame[sock.send(frame) :]
+    except BlockingIOError:
+        return frame
+
+
+def recv_frame(sock: socket.socket, buf: bytearray | None = None) -> tuple[int, bytes] | None:
+    """Read one frame. None on clean EOF before a frame's length is in.
+
+    Raises :class:`FrameError` for zero or oversized lengths (as soon as the
+    length is in), bodies cut short by EOF, and unknown message types. No byte
+    past the frame is read. The bytes read so far are kept in ``buf``, so on a
+    non-blocking socket a :class:`BlockingIOError` leaves a partial frame there
+    for the next call; ``buf`` is empty again once a frame is returned.
+    """
+    if buf is None:
+        buf = bytearray()
+    while True:
+        end = _LEN.size
+        if len(buf) >= _LEN.size:
+            (length,) = _LEN.unpack_from(buf)
+            if length < 1 or length > MAX_FRAME:
+                raise FrameError(ERR_BAD_LENGTH, f"frame length {length} outside [1, {MAX_FRAME}]")
+            end += length
+            if len(buf) == end:
+                break
+        chunk = sock.recv(end - len(buf))
         if not chunk:
-            return None
-        chunks.append(chunk)
-        got += len(chunk)
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(f"frame not complete by its deadline ({got} bytes read)")
-    return b"".join(chunks)
-
-
-def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> None:
-    sock.sendall(_LEN.pack(len(payload) + 1) + bytes([msg_type]) + payload)
-
-
-def recv_frame(sock: socket.socket, deadline: float | None = None) -> tuple[int, bytes] | None:
-    """Read one frame. None on clean EOF before a frame starts.
-
-    Raises :class:`FrameError` for zero or oversized lengths, truncated
-    bodies, and unknown message types, and :class:`TimeoutError` when a
-    ``deadline`` is given and the frame is not complete by then.
-    """
-    head = recv_exact(sock, _LEN.size, deadline)
-    if head is None:
-        return None
-    (length,) = _LEN.unpack(head)
-    if length < 1 or length > MAX_FRAME:
-        raise FrameError(ERR_BAD_LENGTH, f"frame length {length} outside [1, {MAX_FRAME}]")
-    body = recv_exact(sock, length, deadline)
-    if body is None:
-        raise FrameError(ERR_BAD_LENGTH, "connection closed mid-frame")
-    msg_type = body[0]
+            if len(buf) < _LEN.size:
+                return None
+            raise FrameError(ERR_BAD_LENGTH, "connection closed mid-frame")
+        buf += chunk
+    msg_type = buf[_LEN.size]
+    payload = bytes(buf[_LEN.size + 1 :])
+    buf.clear()
     if msg_type not in KNOWN_TYPES:
         raise FrameError(ERR_UNKNOWN_TYPE, f"unknown message type 0x{msg_type:02x}")
-    return msg_type, body[1:]
+    return msg_type, payload
 
 
 def pack_hello(pub: "SchemeIPublic | SchemeIIPublic") -> bytes:

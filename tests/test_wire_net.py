@@ -6,12 +6,13 @@ import time
 
 import pytest
 
+import braidauth.braid as B
 import braidauth.netpair as N
 import braidauth.protocol as P
 import braidauth.wire as W
 from braidauth.errors import FrameError, InvalidParameterError
-from braidauth.hashing import deserialize, serialize
-from braidauth.braid import CanonicalForm
+from braidauth.hashing import DIGEST_SIZE, deserialize, serialize
+from braidauth.braid import BraidWord, CanonicalForm, GeneratorLetter
 from braidauth.netpair import (
     MAX_EXPONENT,
     MAX_KEY_FACTORS,
@@ -475,23 +476,115 @@ def test_max_sessions_stops_listener():
     srv.stop()
 
 
-def test_finished_session_threads_are_pruned():
+def test_finished_sessions_leave_no_per_connection_state():
     srv = VerifierServer(rounds=1, word_length=8, seed=3)
     srv.start()
     host, port = srv.address
     keys = make_keys(1)
+    threads = threading.active_count()
     try:
         for _ in range(50):
             assert all(v.accepted for v in run_prover(host, port, keys))
-        for t in list(srv._threads):
-            t.join(timeout=10)
-        # The next accept prunes every finished thread; this idle connection
-        # keeps its own session thread alive until it closes.
-        with socket.create_connection((host, port), timeout=10):
-            deadline = time.monotonic() + 10
-            while not (srv._threads and all(t.is_alive() for t in srv._threads)):
-                assert time.monotonic() < deadline, f"{len(srv._threads)} threads kept"
-                time.sleep(0.01)
-            assert len(srv._threads) == 1
+        # The loop closes a session before the prover can see the close.
+        assert threading.active_count() == threads
+        assert not srv._sessions
+        assert len(srv._selector.get_map()) == 2  # the listener and the wake socket
     finally:
+        srv.stop()
+
+
+def test_stop_ends_the_serving_thread():
+    srv = VerifierServer(rounds=1, word_length=8, seed=3)
+    thread = srv.start()
+    with socket.create_connection(srv.address, timeout=10):
+        _wait_for(lambda: len(srv._sessions) == 1, "the idle connection to be accepted")
+        srv.stop()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+
+
+def test_connections_over_the_open_session_cap_are_refused(monkeypatch):
+    monkeypatch.setattr(N, "MAX_OPEN_SESSIONS", 4)
+    lines = []
+    srv = VerifierServer(rounds=1, word_length=8, seed=3, log=lines.append)
+    srv.start()
+    host, port = srv.address
+    idle = []
+    try:
+        idle = [socket.create_connection((host, port), timeout=10) for _ in range(4)]
+        _wait_for(lambda: len(srv._sessions) == 4, "four open sessions")
+        with socket.create_connection((host, port), timeout=10) as fifth:
+            assert W.recv_frame(fifth) == (W.MSG_ERROR, bytes([W.ERR_BUSY]))
+            assert W.recv_frame(fifth) is None
+        assert lines == ["refusing connection: 4 sessions already open"]
+        for conn in idle:
+            conn.close()
+        _wait_for(lambda: not srv._sessions, "the idle sessions to close")
+        assert all(v.accepted for v in run_prover(host, port, make_keys(1)))
+    finally:
+        for conn in idle:
+            conn.close()
+        srv.stop()
+
+
+def test_a_burst_of_connects_is_refused_by_frame_checks_not_the_cap(monkeypatch):
+    # 40 connections queue before the loop starts, each with a bad-type frame
+    # and its write side shut. The listener keeps its backlog of 128; the
+    # loop then accepts 5 at a pass, under a cap of 10.
+    srv = VerifierServer(rounds=1, word_length=8, seed=3)
+    monkeypatch.setattr(N, "LISTEN_BACKLOG", 5)
+    monkeypatch.setattr(N, "MAX_OPEN_SESSIONS", 10)
+    conns = []
+    try:
+        for _ in range(40):
+            conn = socket.create_connection(srv.address, timeout=10)
+            conn.sendall((1).to_bytes(4, "big") + b"\x09")
+            conn.shutdown(socket.SHUT_WR)
+            conns.append(conn)
+        srv.start()
+        replies = [W.recv_frame(conn) for conn in conns]
+        assert replies == [(W.MSG_ERROR, bytes([W.ERR_UNKNOWN_TYPE]))] * 40
+    finally:
+        for conn in conns:
+            conn.close()
+        srv.stop()
+
+
+def test_frame_cut_short_by_eof_gets_bad_length():
+    lines = []
+    srv = VerifierServer(rounds=1, word_length=8, seed=3, log=lines.append)
+    srv.start()
+    try:
+        with socket.create_connection(srv.address, timeout=10) as conn:
+            conn.sendall((40).to_bytes(4, "big") + b"\x01" + bytes(6))  # 11 of 44 bytes
+            conn.shutdown(socket.SHUT_WR)
+            assert W.recv_frame(conn) == (W.MSG_ERROR, bytes([W.ERR_BAD_LENGTH]))
+        assert lines == ["refusing connection: connection closed mid-frame"]
+    finally:
+        srv.stop()
+
+
+def test_peer_that_stops_reading_does_not_stall_other_sessions():
+    n = MAX_SERVED_STRANDS
+    X = B.normalize(BraidWord(n, tuple(GeneratorLetter(i, 1) for i in range(1, n, 3))))
+    hello = W.pack_hello(P.SchemeIPublic(n, MAX_EXPONENT, MAX_EXPONENT, X))
+    srv = VerifierServer(rounds=50, word_length=16, seed=7)
+    # Accepted sockets inherit the listener's buffer size: with 4 KiB on both
+    # ends the first n=64 challenge (about 16 KB) cannot leave at once.
+    srv._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    srv.start()
+    hog = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        hog.connect(srv.address)
+        # HELLO and a wrong answer for every round, and not one byte read.
+        W.send_frame(hog, W.MSG_HELLO, hello)
+        for _ in range(50):
+            W.send_frame(hog, W.MSG_RESPONSE, bytes(DIGEST_SIZE))
+        _wait_for(lambda: any(s.out for s in srv._sessions), "the verifier to hold unsent bytes")
+        start = time.monotonic()
+        assert all(v.accepted for v in run_prover(*srv.address, make_keys(1)))
+        assert time.monotonic() - start < 5.0
+    finally:
+        hog.close()
         srv.stop()
