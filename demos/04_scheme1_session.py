@@ -43,7 +43,7 @@ verifier_side = ba.multiply(ba.multiply(ba.power(challenge.c, r), pub.X),
 print("\npre-hash braids agree:", ba.equals(prover_side, verifier_side))
 
 # The whole exchange through the session runner, as a transcript.
-session = P.SessionConfig(scheme=1, rounds=3, sampler=cfg)
+session = P.SessionConfig(rounds=3, sampler=cfg)
 transcript = P.run_session(keys, session, DeterministicRng(99, "fresh-verifier"))
 print("\ntranscript:")
 for line in P.transcript_text(transcript).splitlines():

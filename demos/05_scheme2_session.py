@@ -23,7 +23,7 @@ print("secret a: canonical length", ba.canonical_length(keys.a))
 
 # k rounds through the session machinery.
 k = 5
-session = P.SessionConfig(scheme=2, rounds=k, sampler=cfg)
+session = P.SessionConfig(rounds=k, sampler=cfg)
 transcript = P.run_session(keys, session, DeterministicRng(7, "verifier"))
 print(f"\n{k}-round session, fresh challenge each round:")
 for idx, rec in enumerate(transcript.rounds):

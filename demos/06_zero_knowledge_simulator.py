@@ -13,7 +13,7 @@ from braidauth import DeterministicRng, SamplerConfig
 import braidauth.protocol as P
 
 cfg = SamplerConfig(n=16, word_length=32, min_canonical_length=4, seed=33)
-session = P.SessionConfig(scheme=1, rounds=3, sampler=cfg)
+session = P.SessionConfig(rounds=3, sampler=cfg)
 keys = P.keygen1(cfg, 2, 3, DeterministicRng(cfg.seed, "prover"))
 
 # Same coin stream on both sides of the comparison.
@@ -36,7 +36,7 @@ print("fresh coins give a fresh transcript:", other != simulated)
 
 # Scheme 2 simulates the same way.
 keys2 = P.keygen2(cfg, 2, 2, DeterministicRng(cfg.seed, "prover2"))
-session2 = P.SessionConfig(scheme=2, rounds=2, sampler=cfg)
+session2 = P.SessionConfig(rounds=2, sampler=cfg)
 real2 = P.run_session(keys2, session2, DeterministicRng(55, "coins2"))
 sim2 = P.simulate_transcript(keys2.public, session2, DeterministicRng(55, "coins2"))
 print("scheme 2 simulator exact as well:", real2 == sim2)

@@ -128,7 +128,6 @@ def _verifier_of(args) -> VerifierServer:
         port=args.port,
         rounds=args.rounds,
         word_length=args.len,
-        min_canonical_length=args.minlen if args.minlen is not None else 3,
         seed=_seed_of(args),
         expect_scheme=args.scheme,
         max_sessions=args.max_sessions,
@@ -162,7 +161,7 @@ def cmd_run_local(args) -> int:
     try:
         keys = _keygen(args, DeterministicRng(_seed_of(args), "keygen"))
         cfg = _sampler_of(args, args.n)
-        session = P.SessionConfig(args.scheme, args.rounds, cfg)
+        session = P.SessionConfig(args.rounds, cfg)
         transcript = P.run_session(keys, session, DeterministicRng(_seed_of(args), "verifier"))
     except BraidAuthError as exc:
         return _fail(str(exc), EXIT_USAGE)
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--port", type=int, default=0)
     vs.add_argument("--rounds", type=int, default=1)
     vs.add_argument("--len", type=int, default=32, help="challenge word length")
-    vs.add_argument("--minlen", type=int, default=None)
     vs.add_argument("--scheme", type=int, choices=(1, 2), default=None,
                     help="refuse clients offering the other scheme")
     vs.add_argument("--max-sessions", type=int, default=None)

@@ -43,10 +43,14 @@ from .sampling import SamplerConfig
 # factors):
 # - power loops once per unit of exponent, and its cost grows about
 #   quadratically with it;
-# - at 64 strands the engine caches a client can fill hold under about 80 MB:
-#   the pair memo clears at 16,384 pairs (8 MB in a measured n=64 run, at
-#   most about 40 MB if every pair held four tables of its own), and flip and
-#   left_complement keep at most 16,384 tables each, under 20 MB apiece;
+# - at 64 strands the pair memo and the flip and left_complement caches hold
+#   under about 80 MB: the pair memo clears at 16,384 pairs (8 MB in a
+#   measured n=64 run, at most about 40 MB if every pair held four tables of
+#   its own), and flip and left_complement keep at most 16,384 tables each,
+#   under 20 MB apiece. power's lru_cache is bounded by its 256 entries, not
+#   by bytes: at n=64 and exponent 64 an entry holds about 70-210 KB of
+#   tables, so on the order of 50 MB in all (arithmetic from measured factor
+#   counts, not a measured RSS);
 # - 1024 factors bounds the size of X and of scheme 2's base, which every
 #   round multiplies in.
 # One thread runs every session's steps, so a session at all of these limits
@@ -99,12 +103,11 @@ class _Session:
 class VerifierServer:
     """TCP verifier: one ``selectors`` loop on one thread serves every session.
 
-    ``word_length``/``min_canonical_length`` parameterize challenge sampling,
-    with ``word_length`` at least ``MIN_CHALLENGE_LENGTH``; the strand count
-    always comes from the client's HELLO. When ``expect_scheme`` is set, a
-    HELLO for the other scheme is refused. With ``max_sessions`` set, the
-    listener stops after that many connections and the loop returns once the
-    last of them ends.
+    Challenges are words of ``word_length`` letters, at least
+    ``MIN_CHALLENGE_LENGTH``; the strand count always comes from the client's
+    HELLO. When ``expect_scheme`` is set, a HELLO for the other scheme is
+    refused. With ``max_sessions`` set, the listener stops after that many
+    connections and the loop returns once the last of them ends.
     """
 
     def __init__(
@@ -114,7 +117,6 @@ class VerifierServer:
         *,
         rounds: int = 1,
         word_length: int = 32,
-        min_canonical_length: int = 3,
         seed: int = 0,
         expect_scheme: int | None = None,
         max_sessions: int | None = None,
@@ -122,14 +124,12 @@ class VerifierServer:
     ):
         if rounds < 1:
             raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
-        # Bad sampler settings fail here; each session sets n from its HELLO.
-        floor = min(min_canonical_length, max(word_length, 1))
-        self._sampler = SamplerConfig(2, word_length, floor)
-        if word_length < MIN_CHALLENGE_LENGTH:
+        if not isinstance(word_length, int) or word_length < MIN_CHALLENGE_LENGTH:
             raise InvalidParameterError(
-                f"word_length must be >= {MIN_CHALLENGE_LENGTH}, got {word_length}"
+                f"word_length must be an int >= {MIN_CHALLENGE_LENGTH}, got {word_length!r}"
             )
         self.rounds = rounds
+        self.word_length = word_length
         self.expect_scheme = expect_scheme
         self.max_sessions = max_sessions
         self._log = log or (lambda msg: None)
@@ -252,8 +252,12 @@ class VerifierServer:
         except StopIteration:
             sess.steps = None
         except FrameError as exc:
-            self._refuse(sess, exc.code, str(exc))
+            self._log(f"refusing connection: {exc}")
             sess.steps = None
+            try:
+                self._send(sess, wire.MSG_ERROR, bytes([exc.code]))
+            except OSError:
+                pass
         except (OSError, BraidAuthError) as exc:
             self._end(sess, exc)
             return
@@ -290,13 +294,6 @@ class VerifierServer:
         else:
             sess.out = wire.send_frame(sess.conn, msg_type, payload)
 
-    def _refuse(self, sess: _Session, code: int, why: str) -> None:
-        self._log(f"refusing connection: {why}")
-        try:
-            self._send(sess, wire.MSG_ERROR, bytes([code]))
-        except OSError:
-            pass
-
     def _admit_hello(self, scheme, n: int, exponents, factor_counts) -> None:
         """Refuse a HELLO over a limit, from its head and braid headers."""
         key_factors = max(factor_counts)
@@ -314,18 +311,13 @@ class VerifierServer:
 
     def _run_session(self, sess: _Session):
         """The session as a generator: each ``yield`` waits for the peer's
-        next frame, which the loop sends in once it is whole."""
+        next frame, which the loop sends in once it is whole. A protocol
+        violation raises :class:`FrameError`, which ``_serve`` refuses."""
         msg_type, payload = yield
         if msg_type != wire.MSG_HELLO:
-            self._refuse(sess, wire.ERR_PROTOCOL, f"expected HELLO, got type {msg_type}")
-            return
-        try:
-            pub = wire.unpack_hello(payload, self._admit_hello)
-        except FrameError as exc:
-            self._refuse(sess, exc.code, str(exc))
-            return
-
-        sampler = dataclasses.replace(self._sampler, n=pub.n)
+            raise FrameError(wire.ERR_PROTOCOL, f"expected HELLO, got type {msg_type}")
+        pub = wire.unpack_hello(payload, self._admit_hello)
+        sampler = SamplerConfig(pub.n, self.word_length)
         rng = self._next_session_rng()
         # The digest a round accepts depends only on the public key and the
         # verifier's ephemerals, so each round computes it, and draws the next
@@ -343,11 +335,9 @@ class VerifierServer:
                 challenge = pub.scheme.challenge(pub, sampler, rng)
             msg_type, payload = yield
             if msg_type != wire.MSG_RESPONSE:
-                self._refuse(sess, wire.ERR_PROTOCOL, f"expected RESPONSE, got type {msg_type}")
-                return
+                raise FrameError(wire.ERR_PROTOCOL, f"expected RESPONSE, got type {msg_type}")
             if len(payload) != DIGEST_SIZE:
-                self._refuse(sess, wire.ERR_BAD_LENGTH, f"response payload is {len(payload)} bytes")
-                return
+                raise FrameError(wire.ERR_BAD_LENGTH, f"response payload is {len(payload)} bytes")
             accepted = hmac.compare_digest(expected, payload)
             self._log(f"round {round_index + 1}/{self.rounds}: verdict={int(accepted)}")
             self._send(sess, wire.MSG_VERDICT, wire.pack_verdict(accepted, round_index))

@@ -308,8 +308,8 @@ def impersonation_experiment(
     trials: int,
     rng: DeterministicRng,
     *,
+    sampler: SamplerConfig,
     rounds: int = 1,
-    sampler: SamplerConfig | None = None,
     root_bound: int | None = None,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> AttackReport:
@@ -324,9 +324,7 @@ def impersonation_experiment(
         raise InvalidParameterError(f"trials must be >= 1, got {trials!r}")
     pub = keys.public
     scheme = keys.scheme
-    if sampler is None:
-        raise InvalidParameterError("an explicit SamplerConfig is required")
-    cfg = SessionConfig(scheme.number, rounds, sampler)
+    cfg = SessionConfig(rounds, sampler)
     bound = root_bound if root_bound is not None else sampler.word_length
     respond, note = _make_responder(keys, strategy, rng.spawn("responder"), cfg, bound, search_budget)
 

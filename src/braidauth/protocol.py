@@ -102,13 +102,12 @@ class Response:
 
 @dataclasses.dataclass(frozen=True)
 class SessionConfig:
-    scheme: int
+    """A session's settings; the scheme is the key's own."""
+
     rounds: int
     sampler: SamplerConfig
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise InvalidParameterError(f"scheme must be 1 or 2, got {self.scheme!r}")
         if not isinstance(self.rounds, int) or self.rounds < 1:
             raise InvalidParameterError(f"rounds must be >= 1, got {self.rounds!r}")
 
@@ -327,8 +326,6 @@ def run_session(
     challenge samplers, which is what makes the simulator comparison exact.
     """
     scheme = keys.scheme
-    if scheme.number != cfg.scheme:
-        raise InvalidParameterError(f"key is for scheme {scheme.number}, session for {cfg.scheme}")
     rounds = []
     for _ in range(cfg.rounds):
         ch = scheme.challenge(keys.public, cfg.sampler, verifier_rng)
@@ -349,8 +346,6 @@ def simulate_transcript(
     is a parameter, so none can be consulted.
     """
     scheme = pub.scheme
-    if scheme.number != cfg.scheme:
-        raise InvalidParameterError(f"key is for scheme {scheme.number}, session for {cfg.scheme}")
     rounds = []
     for _ in range(cfg.rounds):
         ch = scheme.challenge(pub, cfg.sampler, rng)
@@ -398,8 +393,20 @@ def _field(fields: dict[str, str], name: str) -> str:
     return fields[name]
 
 
+def _int_field(fields: dict[str, str], name: str) -> int:
+    text = _field(fields, name)
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameterError(f"key file field {name} is not an integer: {text!r}") from None
+
+
 def _braid_field(fields: dict[str, str], name: str, n: int) -> CanonicalForm:
-    x = deserialize(bytes.fromhex(_field(fields, name)))
+    try:
+        data = bytes.fromhex(_field(fields, name))
+    except ValueError:
+        raise InvalidParameterError(f"key file field {name} is not hex braid text") from None
+    x = deserialize(data)
     if x.n != n:
         raise InvalidParameterError(f"{name} has {x.n} strands, file says {n}")
     return x
@@ -407,13 +414,15 @@ def _braid_field(fields: dict[str, str], name: str, n: int) -> CanonicalForm:
 
 def parse_public_key(text: str) -> "SchemeIPublic | SchemeIIPublic":
     fields = _parse_fields(text)
-    number = int(_field(fields, "scheme"))
+    number = _int_field(fields, "scheme")
     if number not in SCHEMES:
         raise InvalidParameterError(f"unknown scheme {number}")
     scheme = SCHEMES[number]
-    n = int(_field(fields, "n"))
+    n = _int_field(fields, "n")
     braids = [_braid_field(fields, name, n) for name in scheme.hello_braids]
-    exponents = [int(_field(fields, name)) for name in scheme.exponent_names]
+    exponents = [_int_field(fields, name) for name in scheme.exponent_names]
+    for name, value in zip(scheme.exponent_names, exponents):
+        _check_exponent(name, value)
     return scheme.public_of(n, exponents, braids)
 
 
@@ -424,12 +433,12 @@ def parse_keypair(public_text: str, secret_text: str) -> "SchemeIKeyPair | Schem
     pub = parse_public_key(public_text)
     scheme = pub.scheme
     fields = _parse_fields(secret_text)
-    number = int(_field(fields, "scheme"))
-    n = int(_field(fields, "n"))
+    number = _int_field(fields, "scheme")
+    n = _int_field(fields, "n")
     if number != scheme.number or n != pub.n:
         raise InvalidParameterError(
             f"secret file (scheme {number}, n {n}) does not match public file "
             f"(scheme {scheme.number}, n {pub.n})"
         )
-    secrets = [deserialize(bytes.fromhex(_field(fields, name))) for name in scheme.secret_fields]
+    secrets = [_braid_field(fields, name, n) for name in scheme.secret_fields]
     return scheme.keypair_type(pub, *secrets)

@@ -242,7 +242,7 @@ def check_completeness(sizes: Iterable[int], rng: DeterministicRng) -> None:
         cfg = SamplerConfig(n=n, word_length=12, min_canonical_length=2, seed=0)
         for scheme, exponents in ((P.SCHEME_I, (2, 3)), (P.SCHEME_II, (3, 2))):
             keys = scheme.keygen(cfg, *exponents, rng.spawn(f"kg{scheme.number}-{n}"))
-            session = P.SessionConfig(scheme.number, 2, cfg)
+            session = P.SessionConfig(2, cfg)
             for k in range(25):
                 t = P.run_session(keys, session, rng.spawn(f"v{scheme.number}-{n}-{k}"))
                 assert t.accepted, "honest session rejected"
@@ -253,7 +253,7 @@ def check_simulator_exactness(sizes: Iterable[int], rng: DeterministicRng) -> No
         cfg = SamplerConfig(n=n, word_length=12, min_canonical_length=2, seed=0)
         for scheme, exponents in ((P.SCHEME_I, (2, 2)), (P.SCHEME_II, (2, 3))):
             keys = scheme.keygen(cfg, *exponents, rng.spawn(f"skg{scheme.number}-{n}"))
-            session = P.SessionConfig(scheme.number, 2, cfg)
+            session = P.SessionConfig(2, cfg)
             for k in range(10):
                 real = P.run_session(keys, session, DeterministicRng(1000 + k, f"coins-{n}"))
                 sim = P.simulate_transcript(

@@ -62,7 +62,7 @@ def test_criterion_01_completeness():
                 else:
                     keys = P.keygen2(cfg, exp1, exp2, kg_rng)
                 note_forms(keys.public.X)
-                session = P.SessionConfig(scheme, 1, cfg)
+                session = P.SessionConfig(1, cfg)
                 for k in range(sessions_per_combo):
                     coins = DeterministicRng(k, f"s{scheme}-{n}-{exp_index}")
                     transcript = P.run_session(keys, session, coins)
@@ -272,7 +272,7 @@ def test_criterion_08_hvzk_simulator():
             keys = P.keygen1(cfg, 2, 3, DeterministicRng(81, "kg"))
         else:
             keys = P.keygen2(cfg, 3, 2, DeterministicRng(82, "kg"))
-        session = P.SessionConfig(scheme, 2, cfg)
+        session = P.SessionConfig(2, cfg)
         for k in range(100):
             shared = f"coins-{scheme}-{k}"
             real = P.run_session(keys, session, DeterministicRng(800 + k, shared))

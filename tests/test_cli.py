@@ -1,3 +1,5 @@
+import pathlib
+import shlex
 import socket
 import subprocess
 import sys
@@ -237,6 +239,26 @@ def test_prove_network_failure_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_prove_refuses_malformed_key_files_as_usage_errors(tmp_path, capsys):
+    run_cli(
+        ["keygen", "--scheme", "1", "--n", "8", "--len", "16", "--seed", "9",
+         "--out", str(tmp_path / "k")],
+        capsys,
+    )
+    good = (tmp_path / "k.pub").read_text()
+    x_line = next(line for line in good.splitlines() if line.startswith("X = "))
+    for bad in (good.replace("n = 8", "n = eight"), good.replace(x_line, "X = not-hex")):
+        (tmp_path / "bad.pub").write_text(bad)
+        # The key files are read before any connection, so the port is never dialed.
+        code, _, err = run_cli(
+            ["prove", "--pub", str(tmp_path / "bad.pub"), "--sec", str(tmp_path / "k.sec"),
+             "--port", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("braidauth: ")
+
+
 def test_scheme_mismatch_is_network_error(tmp_path, capsys):
     run_cli(
         ["keygen", "--scheme", "1", "--n", "8", "--len", "16", "--seed", "9",
@@ -276,7 +298,7 @@ def first_challenge(serve_args, hello):
 def test_verify_serve_refuses_bad_sampler_settings_before_listening(capsys):
     # --max-sessions 0 ends the listener at once, so a verifier that did
     # start would exit 0 here instead of hanging.
-    for bad in (["--len", "-1"], ["--minlen", "0"], ["--len", "0"], ["--len", "7"]):
+    for bad in (["--len", "-1"], ["--len", "0"], ["--len", "7"]):
         code, out, err = run_cli(["verify-serve", "--max-sessions", "0", *bad], capsys)
         assert code == 2
         assert "listening" not in out and "must be" in err
@@ -316,6 +338,15 @@ def test_selftest_catches_a_broken_normalize(capsys, monkeypatch):
     code, out, _ = run_cli(["selftest", "--n", "4", "--seed", "1"], capsys)
     assert code == 1
     assert "FAIL relation-invariance" in out
+
+
+def test_readme_cli_examples_parse():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    examples = [line for line in block.splitlines() if line.startswith("braidauth ")]
+    assert examples
+    for line in examples:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 # ---------------------------------------------------------------------------

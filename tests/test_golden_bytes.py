@@ -78,7 +78,7 @@ def _keys(scheme, n):
 @pytest.mark.parametrize("scheme,n", sorted(GOLDEN))
 def test_scheme_outputs_are_the_golden_bytes(scheme, n):
     keys, cfg = _keys(scheme, n)
-    session = P.SessionConfig(scheme, 3, cfg)
+    session = P.SessionConfig(3, cfg)
     real = P.run_session(keys, session, DeterministicRng(200 + n, "golden-session"))
     sim = P.simulate_transcript(keys.public, session, DeterministicRng(300 + n, "golden-simulator"))
     outputs = (

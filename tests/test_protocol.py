@@ -88,7 +88,7 @@ def test_keygen_degenerate_odd_toy_size():
     keys = P.keygen1(cfg, 2, 2, DeterministicRng(3, "kg"))
     assert keys.a == B.identity(3)
     assert keys.b != B.identity(3)
-    t = P.run_session(keys, P.SessionConfig(1, 2, cfg), DeterministicRng(4))
+    t = P.run_session(keys, P.SessionConfig(2, cfg), DeterministicRng(4))
     assert t.accepted
 
 
@@ -236,7 +236,7 @@ def test_run_session_honest_accepts():
                 keys = P.keygen1(cfg, 2, 3, DeterministicRng(41 + n, "kg"))
             else:
                 keys = P.keygen2(cfg, 3, 2, DeterministicRng(42 + n, "kg"))
-            t = P.run_session(keys, P.SessionConfig(scheme, 3, cfg), DeterministicRng(43))
+            t = P.run_session(keys, P.SessionConfig(3, cfg), DeterministicRng(43))
             assert t.accepted
             assert len(t.rounds) == 3
             assert all(r.accepted for r in t.rounds)
@@ -245,12 +245,7 @@ def test_run_session_honest_accepts():
 def test_session_round_count_validation():
     cfg = cfg_for(4)
     with pytest.raises(InvalidParameterError):
-        P.SessionConfig(1, 0, cfg)
-    with pytest.raises(InvalidParameterError):
-        P.SessionConfig(3, 1, cfg)
-    keys = fixture_keys1()
-    with pytest.raises(InvalidParameterError):
-        P.run_session(keys, P.SessionConfig(2, 1, cfg), DeterministicRng(1))
+        P.SessionConfig(0, cfg)
 
 
 def test_simulator_matches_real_transcripts_byte_for_byte():
@@ -260,7 +255,7 @@ def test_simulator_matches_real_transcripts_byte_for_byte():
             keys = P.keygen1(cfg, 2, 2, DeterministicRng(51, "kg"))
         else:
             keys = P.keygen2(cfg, 2, 3, DeterministicRng(52, "kg"))
-        session = P.SessionConfig(scheme, 3, cfg)
+        session = P.SessionConfig(3, cfg)
         for k in range(20):
             real = P.run_session(keys, session, DeterministicRng(60 + k, "coins"))
             sim = P.simulate_transcript(keys.public, session, DeterministicRng(60 + k, "coins"))
@@ -289,7 +284,7 @@ def test_verify_signatures_never_see_prover_secrets():
 def test_transcript_text_format():
     keys = fixture_keys1()
     cfg = cfg_for(4)
-    t = P.run_session(keys, P.SessionConfig(1, 2, cfg), DeterministicRng(71))
+    t = P.run_session(keys, P.SessionConfig(2, cfg), DeterministicRng(71))
     lines = P.transcript_text(t).splitlines()
     assert len(lines) == 2
     for line in lines:
@@ -329,3 +324,5 @@ def test_key_file_mismatch_detected():
         P.parse_keypair(P.format_public_key(k1.public), P.format_secret_key(k2))
     with pytest.raises(InvalidParameterError):
         P.parse_public_key("scheme = 9\nn = 4\nX = 00\n")
+    with pytest.raises(InvalidParameterError, match="r must be"):
+        P.parse_public_key(P.format_public_key(k1.public).replace("r = 2", "r = 1"))

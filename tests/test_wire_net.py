@@ -459,8 +459,8 @@ def test_concurrent_sessions_are_independent(server):
 def test_bad_sampler_settings_fail_when_the_verifier_is_built():
     # A length-0 challenge is the identity, which a prover holding only the
     # public key answers with hash(X); 7 is just under the floor of 8.
-    for kwargs in ({"word_length": -1}, {"min_canonical_length": 0},
-                   {"word_length": 0}, {"word_length": 7}):
+    for kwargs in ({"word_length": -1}, {"word_length": 0}, {"word_length": 7},
+                   {"word_length": 8.5}):
         with pytest.raises(InvalidParameterError):
             VerifierServer(rounds=1, **kwargs)
 
