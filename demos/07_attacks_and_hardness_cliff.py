@@ -13,8 +13,11 @@ Four strategies play the prover role against an honest verifier:
 At deliberately broken toy sizes the root search succeeds every time, at
 moderate sizes the same code drowns. That cliff is not what scheme 1's
 security rests on: the split needs no root at all and wins scheme 1 at the
-working size too. Scheme 2's base crosses the blocks, so the split gets
-nowhere there, but no proof says that scheme 2 resists every other attack.
+working size too. The split below gets nowhere against the scheme 2 key,
+whose base crosses the blocks, but nothing makes a base cross: on a weak
+key, where forget(X, lower) * forget(X, upper) = X, the answer
+forget(X, lower) * forget(Y, upper) is the honest one. No proof says that
+scheme 2's other keys resist every attack.
 """
 
 import braidauth as ba

@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import permutations as perms
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 from .permutations import PermTable
 
 MAX_STRANDS = 1024
@@ -41,11 +41,6 @@ class GeneratorLetter(NamedTuple):
 
     index: int
     sign: int
-
-
-def _check_strand_count(n: int) -> None:
-    if not isinstance(n, int) or n < 2 or n > MAX_STRANDS:
-        raise InvalidParameterError(f"strand count must be an int in [2, {MAX_STRANDS}], got {n!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,7 +55,7 @@ class BraidWord:
     letters: tuple[GeneratorLetter, ...] = ()
 
     def __post_init__(self):
-        _check_strand_count(self.n)
+        check_int("strand count", self.n, 2, MAX_STRANDS)
         clean = []
         for letter in self.letters:
             index, sign = letter
@@ -104,7 +99,7 @@ def word(n: int, text: str) -> BraidWord:
 
 def validate_canonical_form(n: int, inf: int, factors: Sequence[Sequence[int]]) -> None:
     """Raise InvalidParameterError unless (n, inf, factors) is a left canonical form."""
-    _check_strand_count(n)
+    check_int("strand count", n, 2, MAX_STRANDS)
     if not isinstance(inf, int):
         raise InvalidParameterError(f"inf must be an int, got {inf!r}")
     full = (1 << n) - 1
@@ -193,7 +188,7 @@ def delta(n: int) -> CanonicalForm:
 def delta_word(n: int) -> BraidWord:
     """The defining positive word of the fundamental braid:
     (s1 ... s_{n-1})(s1 ... s_{n-2}) ... (s1)."""
-    _check_strand_count(n)
+    check_int("strand count", n, 2, MAX_STRANDS)
     letters = [
         GeneratorLetter(i, 1)
         for block_top in range(n - 1, 0, -1)
@@ -499,8 +494,7 @@ def power(x: CanonicalForm, e: int) -> CanonicalForm:
     b among them; that covers the long-term keys in use plus the rounds in
     flight.
     """
-    if not isinstance(e, int) or e < 0:
-        raise InvalidParameterError(f"exponent must be a non-negative int, got {e!r}")
+    check_int("exponent", e, 0)
     acc = _form(x.n, 0, ())
     for _ in range(e):
         acc = multiply(acc, x)

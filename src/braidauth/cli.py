@@ -1,7 +1,9 @@
 """Command-line front end: braidauth <keygen|prove|verify-serve|run-local|attack|selftest>.
 
 Exit codes: 0 accept/success, 1 reject or failed selftest, 2 usage error,
-3 file I/O error, 4 network or protocol error. The environment variable
+3 file I/O error, 4 network or protocol error. Every out-of-range setting
+exits 2 with one message form, "<name> must be an int >= <lo>" (or "in
+[<lo>, <hi>]"), from the library's own check. The environment variable
 BRAIDAUTH_SEED overrides --seed everywhere. Without either, verify-serve draws
 its challenge seed from OS entropy, so challenges do not repeat across restarts.
 """
@@ -15,7 +17,8 @@ import sys
 
 from . import oracle
 from . import protocol as P
-from .errors import BraidAuthError, InvalidParameterError
+from .braid import MAX_STRANDS
+from .errors import BraidAuthError, InvalidParameterError, check_int
 from .netpair import ProverError, VerifierServer, run_prover
 from .rng import DeterministicRng
 from .sampling import SamplerConfig
@@ -56,19 +59,10 @@ def _sampler_of(args, n: int) -> SamplerConfig:
     )
 
 
-def _check_scheme_params(args) -> tuple[int, int]:
-    """Validate and return the exponent pair for the selected scheme."""
-    names = P.SCHEMES[args.scheme].exponent_names
-    exps = tuple(getattr(args, name) for name in names)
-    for name, value in zip(names, exps):
-        if value < 2:
-            raise InvalidParameterError(f"{name} must be >= 2")
-    return exps
-
-
 def _keygen(args, rng: DeterministicRng):
-    cfg = _sampler_of(args, args.n)
-    return P.SCHEMES[args.scheme].keygen(cfg, *_check_scheme_params(args), rng)
+    scheme = P.SCHEMES[args.scheme]
+    exponents = (getattr(args, name) for name in scheme.exponent_names)
+    return scheme.keygen(_sampler_of(args, args.n), *exponents, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +150,9 @@ def cmd_verify_serve(args) -> int:
 def cmd_run_local(args) -> int:
     if args.n % 2 != 0:
         return _fail("n must be even", EXIT_USAGE)
-    if args.rounds < 1:
-        return _fail("rounds must be >= 1", EXIT_USAGE)
     try:
+        session = P.SessionConfig(args.rounds, _sampler_of(args, args.n))
         keys = _keygen(args, DeterministicRng(_seed_of(args), "keygen"))
-        cfg = _sampler_of(args, args.n)
-        session = P.SessionConfig(args.rounds, cfg)
         transcript = P.run_session(keys, session, DeterministicRng(_seed_of(args), "verifier"))
     except BraidAuthError as exc:
         return _fail(str(exc), EXIT_USAGE)
@@ -181,8 +172,6 @@ _STRATEGY_ALIASES = {
 
 
 def cmd_attack(args) -> int:
-    if args.trials < 1:
-        return _fail("trials must be >= 1", EXIT_USAGE)
     strategy = _STRATEGY_ALIASES[args.strategy]
     try:
         cfg = _sampler_of(args, args.n)
@@ -212,9 +201,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    sizes = tuple(int(part) for part in args.n.split(","))
     failed = None
-    for name, ok, detail in run_selftest(sizes, _seed_of(args)):
+    for name, ok, detail in run_selftest(args.n, _seed_of(args)):
         print(f"{'ok  ' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
         if not ok and failed is None:
             failed = name
@@ -228,6 +216,14 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+def _strand_counts(text: str) -> tuple[int, ...]:
+    """selftest's --n: comma-separated strand counts, each under the library's rule."""
+    try:
+        return tuple(check_int("n", int(part), 2, MAX_STRANDS) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
 
 def _add_scheme_flags(sub) -> None:
     sub.add_argument("--scheme", type=int, choices=(1, 2), default=1)
@@ -287,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.set_defaults(func=cmd_attack)
 
     st = subs.add_parser("selftest", help="run the invariant battery")
-    st.add_argument("--n", default=",".join(str(n) for n in DEFAULT_SIZES),
+    st.add_argument("--n", type=_strand_counts, default=DEFAULT_SIZES,
                     help="comma-separated strand counts")
     st.add_argument("--seed", type=int, default=0)
     st.set_defaults(func=cmd_selftest)

@@ -11,6 +11,15 @@ class InvalidParameterError(BraidAuthError, ValueError):
     """An argument violates a documented precondition (wrong n, bad exponent, ...)."""
 
 
+def check_int(name: str, value, lo: int, hi: "int | None" = None) -> int:
+    """Return ``value`` if it is an int in [lo, hi] (hi None: no upper bound);
+    the one rule for every integer setting a caller supplies."""
+    if not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InvalidParameterError(f"{name} must be an int {bound}, got {value!r}")
+    return value
+
+
 class EncodingError(BraidAuthError, ValueError):
     """Serialization or deserialization failed.
 

@@ -29,7 +29,7 @@ import time
 import traceback
 
 from . import wire
-from .errors import BraidAuthError, FrameError, InvalidParameterError
+from .errors import BraidAuthError, FrameError, check_int
 from .hashing import DIGEST_SIZE, serialize
 from .protocol import SchemeIKeyPair, SchemeIIKeyPair
 from .rng import DeterministicRng
@@ -106,8 +106,9 @@ class VerifierServer:
     Challenges are words of ``word_length`` letters, at least
     ``MIN_CHALLENGE_LENGTH``; the strand count always comes from the client's
     HELLO. When ``expect_scheme`` is set, a HELLO for the other scheme is
-    refused. With ``max_sessions`` set, the listener stops after that many
-    connections and the loop returns once the last of them ends.
+    refused. ``max_sessions`` is None (no limit) or at least 0: the listener
+    stops after that many connections and the loop returns once the last of
+    them ends.
     """
 
     def __init__(
@@ -122,15 +123,12 @@ class VerifierServer:
         max_sessions: int | None = None,
         log=None,
     ):
-        if rounds < 1:
-            raise InvalidParameterError(f"rounds must be >= 1, got {rounds}")
-        if not isinstance(word_length, int) or word_length < MIN_CHALLENGE_LENGTH:
-            raise InvalidParameterError(
-                f"word_length must be an int >= {MIN_CHALLENGE_LENGTH}, got {word_length!r}"
-            )
-        self.rounds = rounds
-        self.word_length = word_length
+        check_int("port", port, 0, 65535)
+        self.rounds = check_int("rounds", rounds, 1)
+        self.word_length = check_int("word_length", word_length, MIN_CHALLENGE_LENGTH)
         self.expect_scheme = expect_scheme
+        if max_sessions is not None:
+            check_int("max_sessions", max_sessions, 0)
         self.max_sessions = max_sessions
         self._log = log or (lambda msg: None)
         self._rng = DeterministicRng(seed, "verifier-server")
@@ -361,6 +359,7 @@ def run_prover(
     protocol violations; a rejection is reported in the verdict list, not as
     an exception.
     """
+    check_int("port", port, 0, 65535)
     log = log or (lambda msg: None)
     verdicts: list[RoundVerdict] = []
     try:

@@ -14,8 +14,10 @@ blocks for the secrets behind the public key and, when it finds them, plays
 the protocol honestly, and a strand splitter. The root attacker wins exactly
 when the root search is feasible. The splitter needs no root: scheme 1's
 X = a^r * b^s keeps its blocks apart, so its lower strands alone are a^r and
-its upper strands b^s, and it wins scheme 1 at every size. Scheme 2's base
-crosses the blocks, so the split fails there, which proves nothing else.
+its upper strands b^s, and it wins scheme 1 at every size. It fails against
+scheme 2, yet nothing makes scheme 2's base cross the blocks: on a weak key,
+where forget(X, lower) * forget(X, upper) = X, the honest answer
+a^e * Y * a^f is forget(X, lower) * forget(Y, upper).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 from . import braid as braid_ops
 from . import permutations as perms
 from .braid import BraidWord, CanonicalForm, GeneratorLetter, equals, inverse, multiply, power
-from .errors import InvalidParameterError, SearchExhausted
+from .errors import InvalidParameterError, SearchExhausted, check_int
 from .hashing import hash_braid
 from .protocol import (
     SCHEME_I,
@@ -57,12 +59,8 @@ class RootQuery:
     max_word_length: int
 
     def __post_init__(self):
-        if not isinstance(self.e, int) or self.e < 2:
-            raise InvalidParameterError(f"root degree must be an int >= 2, got {self.e!r}")
-        if not isinstance(self.max_word_length, int) or self.max_word_length < 0:
-            raise InvalidParameterError(
-                f"max_word_length must be >= 0, got {self.max_word_length!r}"
-            )
+        check_int("root degree", self.e, 2)
+        check_int("max_word_length", self.max_word_length, 0)
 
 
 def exponent_sum(w: BraidWord) -> int:
@@ -320,12 +318,11 @@ def impersonation_experiment(
     key, the replay strategy needs one eavesdroppable honest session); the
     responder itself never receives the secrets.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials!r}")
+    check_int("trials", trials, 1)
     pub = keys.public
     scheme = keys.scheme
     cfg = SessionConfig(rounds, sampler)
-    bound = root_bound if root_bound is not None else sampler.word_length
+    bound = sampler.word_length if root_bound is None else check_int("root_bound", root_bound, 0)
     respond, note = _make_responder(keys, strategy, rng.spawn("responder"), cfg, bound, search_budget)
 
     verifier_rng = rng.spawn("verifier")

@@ -23,7 +23,7 @@ import hmac
 from typing import Callable
 
 from .braid import CanonicalForm, identity, multiply, power
-from .errors import InvalidParameterError, SamplingFailure
+from .errors import InvalidParameterError, SamplingFailure, check_int
 from .hashing import DIGEST_SIZE, deserialize, hash_braid, serialize
 from .rng import DeterministicRng
 from .sampling import (
@@ -108,8 +108,7 @@ class SessionConfig:
     sampler: SamplerConfig
 
     def __post_init__(self):
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise InvalidParameterError(f"rounds must be >= 1, got {self.rounds!r}")
+        check_int("rounds", self.rounds, 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,11 +135,6 @@ def transcript_text(t: Transcript) -> str:
 # ---------------------------------------------------------------------------
 # Key generation
 # ---------------------------------------------------------------------------
-
-def _check_exponent(name: str, value: int) -> None:
-    if not isinstance(value, int) or value < 2:
-        raise InvalidParameterError(f"{name} must be an integer >= 2, got {value!r}")
-
 
 def _sample_key_braid(
     cfg: SamplerConfig,
@@ -171,8 +165,8 @@ def keygen1(
 ) -> SchemeIKeyPair:
     """Scheme 1 keys: secrets a (lower block) and b (upper block), public
     X = a^r * b^s."""
-    _check_exponent("r", r)
-    _check_exponent("s", s_exp)
+    check_int("r", r, 2)
+    check_int("s", s_exp, 2)
     a = _sample_key_braid(cfg, rng, SubgroupSide.LOWER)
     b = _sample_key_braid(cfg, rng, SubgroupSide.UPPER)
     X = multiply(power(a, r), power(b, s_exp))
@@ -182,8 +176,8 @@ def keygen1(
 def keygen2(cfg: SamplerConfig, e: int, f: int, rng: DeterministicRng) -> SchemeIIKeyPair:
     """Scheme 2 keys: public base braid sampled from the whole group, secret a
     in the lower block, public X = a^e * base * a^f."""
-    _check_exponent("e", e)
-    _check_exponent("f", f)
+    check_int("e", e, 2)
+    check_int("f", f, 2)
     base = _sample_key_braid(cfg, rng, None)
     a = _sample_key_braid(cfg, rng, SubgroupSide.LOWER)
     X = multiply(multiply(power(a, e), base), power(a, f))
@@ -420,9 +414,7 @@ def parse_public_key(text: str) -> "SchemeIPublic | SchemeIIPublic":
     scheme = SCHEMES[number]
     n = _int_field(fields, "n")
     braids = [_braid_field(fields, name, n) for name in scheme.hello_braids]
-    exponents = [_int_field(fields, name) for name in scheme.exponent_names]
-    for name, value in zip(scheme.exponent_names, exponents):
-        _check_exponent(name, value)
+    exponents = [check_int(name, _int_field(fields, name), 2) for name in scheme.exponent_names]
     return scheme.public_of(n, exponents, braids)
 
 

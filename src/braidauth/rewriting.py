@@ -19,7 +19,7 @@ tiny (this is an exhaustive toy-scale tool, exponential in the cap).
 from __future__ import annotations
 
 from .braid import BraidWord, GeneratorLetter
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 from .sampling import iter_reduced_words, letter_followers
 
 Letters = tuple[GeneratorLetter, ...]
@@ -85,10 +85,8 @@ class RewritingClosure:
     """Connected components of the bounded rewriting graph, built eagerly."""
 
     def __init__(self, n: int, max_word_length: int):
-        if max_word_length < 0:
-            raise InvalidParameterError("max_word_length must be >= 0")
         self.n = n
-        self.cap = max_word_length
+        self.cap = check_int("max_word_length", max_word_length, 0)
         words = list(iter_reduced_words(n, max_word_length))
         self._ids = {w: i for i, w in enumerate(words)}
         self._parent = list(range(len(words)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence, TypeVar
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 
 T = TypeVar("T")
 
@@ -22,8 +22,7 @@ class DeterministicRng:
     """SHA-256 counter-mode byte stream with unbiased integer draws."""
 
     def __init__(self, seed: int, label: str = ""):
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+        check_int("seed", seed, 0, 2**64 - 1)
         self._key = hashlib.sha256(
             b"braidauth-rng:" + seed.to_bytes(8, "big") + b":" + label.encode()
         ).digest()
@@ -54,8 +53,7 @@ class DeterministicRng:
 
     def randbelow(self, bound: int) -> int:
         """Uniform int in [0, bound). Rejection sampling keeps it unbiased."""
-        if bound <= 0:
-            raise InvalidParameterError(f"bound must be positive, got {bound}")
+        check_int("bound", bound, 1)
         nbytes = (bound.bit_length() + 7) // 8
         cap = (256**nbytes // bound) * bound
         while True:

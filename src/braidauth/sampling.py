@@ -17,7 +17,7 @@ import types
 from typing import Iterator
 
 from .braid import MAX_STRANDS, BraidWord, CanonicalForm, GeneratorLetter
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 from .rng import DeterministicRng
 
 
@@ -40,21 +40,15 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2 or self.n > MAX_STRANDS:
-            raise InvalidParameterError(f"n must be an int in [2, {MAX_STRANDS}], got {self.n!r}")
-        if not isinstance(self.word_length, int) or self.word_length < 0:
-            raise InvalidParameterError(f"word_length must be >= 0, got {self.word_length!r}")
-        if not isinstance(self.min_canonical_length, int) or self.min_canonical_length < 1:
-            raise InvalidParameterError(
-                f"min_canonical_length must be >= 1, got {self.min_canonical_length!r}"
-            )
+        check_int("n", self.n, 2, MAX_STRANDS)
+        check_int("word_length", self.word_length, 0)
+        check_int("min_canonical_length", self.min_canonical_length, 1)
+        check_int("seed", self.seed, 0, 2**64 - 1)
         if self.word_length and self.word_length < self.min_canonical_length:
             raise InvalidParameterError(
                 f"word_length {self.word_length} < min_canonical_length "
                 f"{self.min_canonical_length}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
 
     def echo(self) -> str:
         return (

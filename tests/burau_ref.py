@@ -1,12 +1,21 @@
-"""Reduced Burau matrices for the 3-strand group: an equality reference that
-shares no code or theory with the canonical-form engine.
+"""Burau matrices: an equality reference that shares no code or theory with
+the canonical-form engine.
 
-Entries are Laurent polynomials in one variable over the integers, stored as
-{exponent: coefficient} dicts. The representation is faithful on 3 strands,
-so matrix equality decides word equality exactly there.
+On 3 strands the reduced representation has entries that are Laurent
+polynomials in one variable over the integers, stored as {exponent:
+coefficient} dicts. It is faithful there, so matrix equality decides word
+equality exactly.
+
+At any strand count the unreduced representation is evaluated at one point t
+modulo the prime P61 = 2^61 - 1; matrices are lists of columns. It is not
+faithful for n >= 5, so equal images are only necessary for equal braids, but
+a product the engine gets wrong gives a different image except for a chance
+of about (letters / P61) over the choice of t.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 Poly = dict[int, int]
 Matrix = tuple[tuple[Poly, Poly], tuple[Poly, Poly]]
@@ -76,3 +85,35 @@ def burau_equal(u, v) -> bool:
     """Exact equality of two 3-strand words."""
     assert u.n == 3 and v.n == 3
     return burau_matrix(u.letters) == burau_matrix(v.letters)
+
+
+P61 = 2**61 - 1
+Columns = list[list[int]]
+
+
+def burau_mod_p(n: int, letters, t: int) -> Columns:
+    """The unreduced Burau matrix of an n-strand word at t mod P61. Right
+    multiplication by sigma_i mixes only columns i and i+1 (1-based):
+    sigma_i acts there as [[1-t, t], [1, 0]], its inverse as
+    [[0, 1], [1/t, 1 - 1/t]]."""
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    u = pow(t, P61 - 2, P61)
+    for index, sign in letters:
+        a, b = cols[index - 1], cols[index]
+        if sign > 0:
+            cols[index - 1] = [((1 - t) * x + y) % P61 for x, y in zip(a, b)]
+            cols[index] = [t * x % P61 for x in a]
+        else:
+            cols[index - 1] = [u * y % P61 for y in b]
+            cols[index] = [(x + (1 - u) * y) % P61 for x, y in zip(a, b)]
+    return cols
+
+
+def mat_mul(a: Columns, b: Columns) -> Columns:
+    rows = list(zip(*a))
+    return [[sum(map(mul, row, col)) % P61 for row in rows] for col in b]
+
+
+def half_twist_letters(n: int) -> list[tuple[int, int]]:
+    """A positive word of the half twist: (s1 ... s_{n-1})(s1 ... s_{n-2}) ... (s1)."""
+    return [(i, 1) for top in range(n - 1, 0, -1) for i in range(1, top + 1)]

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 import threading
 
@@ -8,7 +9,7 @@ import braidauth.braid as B
 import braidauth.permutations as perms
 from braidauth.errors import InvalidParameterError
 from braidauth.rewriting import RewritingClosure, free_reduce
-from burau_ref import burau_equal, burau_matrix
+from burau_ref import P61, burau_equal, burau_matrix, burau_mod_p, half_twist_letters, mat_mul
 from conftest import random_braid_word
 
 
@@ -593,6 +594,41 @@ def test_burau_reference_sanity():
     assert burau_equal(B.word(3, "s1 s2 s1"), B.word(3, "s2 s1 s2"))
     assert not burau_equal(s1, s2)
     assert burau_matrix(B.word(3, "s1 S1").letters) == burau_matrix(B.word(3, "").letters)
+
+
+def test_burau_mod_p_sanity():
+    def image(text):
+        return burau_mod_p(5, B.word(5, text).letters, 123_456_789)
+
+    assert image("s2 s3 s2") == image("s3 s2 s3")
+    assert image("S2 s3 s2") == image("s3 s2 S3")
+    assert image("s1 s4") == image("s4 s1")
+    assert image("s1 s2") != image("s2 s1")
+    assert image("s3 S3") == image("")
+    assert mat_mul(image("s1 S2"), image("s4 s2")) == image("s1 S2 s4 s2")
+
+
+@pytest.mark.parametrize("n, length, pairs", [(8, 64, 20), (16, 128, 20), (64, 64, 2)])
+def test_engine_agrees_with_burau_mod_p(n, length, pairs):
+    rng = random.Random(f"burau-{n}")
+    t = rng.randrange(2, P61 - 1)
+
+    def rho(x):
+        word = x if isinstance(x, B.BraidWord) else B.to_braidword(x)
+        return burau_mod_p(n, word.letters, t)
+
+    rho_delta = burau_mod_p(n, half_twist_letters(n), t)
+    one = burau_mod_p(n, (), t)
+    for _ in range(pairs):
+        u, v = random_braid_word(rng, n, length), random_braid_word(rng, n, length)
+        x, y = B.normalize(u), B.normalize(v)
+        rho_u, rho_v = rho(u), rho(v)
+        e = rng.choice((2, 3))
+        assert rho(x) == rho_u
+        assert rho(B.multiply(x, y)) == mat_mul(rho_u, rho_v)
+        assert mat_mul(rho(B.inverse(x)), rho_u) == one
+        assert rho(B.power(x, e)) == rho(B.BraidWord(n, u.letters * e))
+        assert mat_mul(rho(B.tau(x)), rho_delta) == mat_mul(rho_delta, rho_u)
 
 
 def test_equals_agrees_with_burau(rng):

@@ -48,7 +48,7 @@ def test_keygen_rejects_bad_exponent(tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    assert "r must be >= 2" in err
+    assert "r must be an int >= 2" in err
 
 
 def test_keygen_rejects_odd_n(tmp_path, capsys):
@@ -123,11 +123,24 @@ def test_run_local_rejects_zero_rounds(capsys):
         capsys,
     )
     assert code == 2
+    assert err == "braidauth: rounds must be an int >= 1, got 0\n"
 
 
 # ---------------------------------------------------------------------------
 # attack
 # ---------------------------------------------------------------------------
+
+def test_attack_rejects_bad_trials_and_bound(capsys):
+    for argv, message in (
+        (["--strategy", "random", "--n", "4", "--len", "8", "--trials", "0"],
+         "trials must be an int >= 1, got 0"),
+        (["--strategy", "root", "--n", "3", "--len", "2", "--bound", "-1"],
+         "root_bound must be an int >= 0, got -1"),
+    ):
+        code, _, err = run_cli(["attack", *argv], capsys)
+        assert code == 2
+        assert err == f"braidauth: {message}\n"
+
 
 def test_attack_random_strategy(capsys):
     code, out, _ = run_cli(
@@ -298,7 +311,8 @@ def first_challenge(serve_args, hello):
 def test_verify_serve_refuses_bad_sampler_settings_before_listening(capsys):
     # --max-sessions 0 ends the listener at once, so a verifier that did
     # start would exit 0 here instead of hanging.
-    for bad in (["--len", "-1"], ["--len", "0"], ["--len", "7"]):
+    for bad in (["--len", "-1"], ["--len", "0"], ["--len", "7"], ["--max-sessions", "-1"],
+                ["--port", "70000"]):
         code, out, err = run_cli(["verify-serve", "--max-sessions", "0", *bad], capsys)
         assert code == 2
         assert "listening" not in out and "must be" in err
@@ -366,10 +380,12 @@ def test_module_entry_point_subprocess(tmp_path):
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "braidauth", "keygen"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
+    for argv in (["keygen"], ["selftest", "--n", "4,x"], ["selftest", "--n", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidauth", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr

@@ -4,6 +4,7 @@ import braidauth.braid as B
 import braidauth.oracle as O
 import braidauth.protocol as P
 from braidauth.errors import InvalidParameterError, SearchExhausted
+from braidauth.hashing import hash_braid
 from braidauth.rng import DeterministicRng
 from braidauth.sampling import SamplerConfig
 from conftest import random_braid_word
@@ -238,6 +239,28 @@ def test_split_attack_fails_against_scheme2():
         assert report.successes == 0
 
 
+def test_weak_scheme2_keys_fall_to_the_split():
+    # A scheme 2 key is weak when no crossing of its base survives between the
+    # blocks: forget(X, lower) * forget(X, upper) = X. Then the honest answer
+    # a^e * Y * a^f is forget(X, lower) * forget(Y, upper), with no secret.
+    cfg = SamplerConfig(8, 16, 3, 3)
+    lower, upper = range(4), range(4, 8)
+    rng = DeterministicRng(3, "weak")
+    for _ in range(200):
+        pub = P.keygen2(cfg, 2, 2, rng).public
+        if B.equals(B.multiply(O.forget_strands(pub.X, lower),
+                               O.forget_strands(pub.X, upper)), pub.X):
+            break
+    else:
+        pytest.fail("no weak key among 200")
+    left = O.forget_strands(pub.X, lower)
+    verifier = DeterministicRng(4, "verifier")
+    for _ in range(5):
+        ch = P.challenge2(pub, cfg, verifier)
+        answer = hash_braid(B.multiply(left, O.forget_strands(ch.Y, upper)))
+        assert P.verify2(pub, ch.b, P.Response(answer))
+
+
 def test_attack_report_validation_and_rendering():
     cfg = SamplerConfig(n=4, word_length=8, min_canonical_length=3, seed=0)
     with pytest.raises(InvalidParameterError):
@@ -255,3 +278,13 @@ def test_unknown_strategy_rejected():
     keys, cfg = toy_keys()
     with pytest.raises(InvalidParameterError):
         O.impersonation_experiment(keys, "voodoo", 5, DeterministicRng(1), sampler=cfg)
+
+
+def test_bad_trials_and_root_bound_rejected():
+    keys, cfg = toy_keys()
+    with pytest.raises(InvalidParameterError, match="trials must be an int >= 1"):
+        O.impersonation_experiment(keys, O.STRATEGY_RANDOM, 2.5, DeterministicRng(1), sampler=cfg)
+    with pytest.raises(InvalidParameterError, match="root_bound must be an int >= 0"):
+        O.impersonation_experiment(
+            keys, O.STRATEGY_ROOT, 5, DeterministicRng(1), sampler=cfg, root_bound=-1
+        )

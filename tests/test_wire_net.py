@@ -460,9 +460,16 @@ def test_bad_sampler_settings_fail_when_the_verifier_is_built():
     # A length-0 challenge is the identity, which a prover holding only the
     # public key answers with hash(X); 7 is just under the floor of 8.
     for kwargs in ({"word_length": -1}, {"word_length": 0}, {"word_length": 7},
-                   {"word_length": 8.5}):
+                   {"word_length": 8.5}, {"rounds": 2.5}, {"max_sessions": -1},
+                   {"port": 70000}):
         with pytest.raises(InvalidParameterError):
-            VerifierServer(rounds=1, **kwargs)
+            VerifierServer(**{"rounds": 1, **kwargs})
+
+
+def test_prover_refuses_a_port_out_of_range():
+    # socket.create_connection would dial port 70000 - 65536 instead.
+    with pytest.raises(InvalidParameterError):
+        run_prover("127.0.0.1", 70000, make_keys(1))
 
 
 def test_max_sessions_stops_listener():
