@@ -17,7 +17,6 @@ from .braid import (
     canonical_length,
     delta,
     delta_word,
-    descent_set,
     equals,
     generator,
     identity,

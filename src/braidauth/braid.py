@@ -149,17 +149,6 @@ class CanonicalForm:
     def __post_init__(self):
         validate_canonical_form(self.n, self.inf, self.factors)
 
-    def __mul__(self, other: "CanonicalForm") -> "CanonicalForm":
-        return multiply(self, other)
-
-    def __pow__(self, e: int) -> "CanonicalForm":
-        if e < 0:
-            return power(inverse(self), -e)
-        return power(self, e)
-
-    def __invert__(self) -> "CanonicalForm":
-        return inverse(self)
-
     def __repr__(self):
         return f"CanonicalForm(n={self.n}, inf={self.inf}, factors={list(self.factors)!r})"
 
@@ -205,11 +194,6 @@ def generator(n: int, index: int, sign: int = 1) -> CanonicalForm:
 # ---------------------------------------------------------------------------
 # Permutations of words and factors
 # ---------------------------------------------------------------------------
-
-def descent_set(table: Sequence[int]) -> frozenset[int]:
-    """Descent set of a permutation table: indices i with table[i] > table[i+1]."""
-    return perms.descent_set(table)
-
 
 def braidword_to_permutation(w: BraidWord) -> PermTable:
     """The permutation induced on strand positions, start to end.

@@ -60,9 +60,7 @@ def _sampler_of(args, n: int) -> SamplerConfig:
 
 
 def _keygen(args, rng: DeterministicRng):
-    scheme = P.SCHEMES[args.scheme]
-    exponents = (getattr(args, name) for name in scheme.exponent_names)
-    return scheme.keygen(_sampler_of(args, args.n), *exponents, rng)
+    return P.SCHEMES[args.scheme].keygen(_sampler_of(args, args.n), args.exp1, args.exp2, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +226,8 @@ def _strand_counts(text: str) -> tuple[int, ...]:
 def _add_scheme_flags(sub) -> None:
     sub.add_argument("--scheme", type=int, choices=(1, 2), default=1)
     sub.add_argument("--n", type=int, default=16, help="strand count (even)")
-    sub.add_argument("--r", type=int, default=2, help="scheme 1 first exponent")
-    sub.add_argument("--s", type=int, default=2, help="scheme 1 second exponent")
-    sub.add_argument("--e", type=int, default=2, help="scheme 2 first exponent")
-    sub.add_argument("--f", type=int, default=2, help="scheme 2 second exponent")
+    sub.add_argument("--r", "--e", dest="exp1", type=int, default=2, help="first exponent")
+    sub.add_argument("--s", "--f", dest="exp2", type=int, default=2, help="second exponent")
     sub.add_argument("--len", type=int, default=DEFAULT_DEMO_LENGTH, help="sampled word length")
     sub.add_argument("--minlen", type=int, default=None, help="canonical-length floor for keys")
     sub.add_argument("--seed", type=int, default=0)

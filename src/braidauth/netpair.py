@@ -31,7 +31,7 @@ import traceback
 from . import wire
 from .errors import BraidAuthError, FrameError, check_int
 from .hashing import DIGEST_SIZE, serialize
-from .protocol import SchemeIKeyPair, SchemeIIKeyPair
+from .protocol import SCHEMES, SchemeIKeyPair, SchemeIIKeyPair
 from .rng import DeterministicRng
 from .sampling import SamplerConfig
 
@@ -77,6 +77,10 @@ LISTEN_BACKLOG = 128
 # pass, after serving the sessions already open, keeps a burst of connects
 # under it.
 MAX_OPEN_SESSIONS = 2 * LISTEN_BACKLOG
+# How long the loop stops watching the listener after accept() fails (EMFILE,
+# ENOBUFS and the like): such a failure lasts until descriptors or memory free
+# up, and the loop would spin on a listener still readable meanwhile.
+ACCEPT_PAUSE_S = 0.1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,12 +107,14 @@ class _Session:
 class VerifierServer:
     """TCP verifier: one ``selectors`` loop on one thread serves every session.
 
+    Sessions have ``rounds`` rounds, at most ``wire.MAX_ROUNDS`` (65,535).
     Challenges are words of ``word_length`` letters, at least
     ``MIN_CHALLENGE_LENGTH``; the strand count always comes from the client's
-    HELLO. When ``expect_scheme`` is set, a HELLO for the other scheme is
-    refused. ``max_sessions`` is None (no limit) or at least 0: the listener
-    stops after that many connections and the loop returns once the last of
-    them ends.
+    HELLO. ``expect_scheme`` is None, 1 or 2; when set, a HELLO for the other
+    scheme is refused. ``max_sessions`` is None (no limit) or at least 0: the
+    listener stops after that many connections and the loop returns once the
+    last of them ends. Only that and ``stop()`` end the listener: a failed
+    ``accept()`` is logged and pauses it for ``ACCEPT_PAUSE_S``.
     """
 
     def __init__(
@@ -124,8 +130,10 @@ class VerifierServer:
         log=None,
     ):
         check_int("port", port, 0, 65535)
-        self.rounds = check_int("rounds", rounds, 1)
+        self.rounds = check_int("rounds", rounds, 1, wire.MAX_ROUNDS)
         self.word_length = check_int("word_length", word_length, MIN_CHALLENGE_LENGTH)
+        if expect_scheme is not None:
+            check_int("expect_scheme", expect_scheme, min(SCHEMES), max(SCHEMES))
         self.expect_scheme = expect_scheme
         if max_sessions is not None:
             check_int("max_sessions", max_sessions, 0)
@@ -139,10 +147,9 @@ class VerifierServer:
         self._sock.bind((host, port))
         self._sock.listen(LISTEN_BACKLOG)
         self._sock.setblocking(False)
-        self._stopped = threading.Event()
         self._selector = selectors.DefaultSelector()
         self._sessions: set[_Session] = set()
-        # stop() writes a byte here to wake the loop from select().
+        # stop() writes a byte here; the loop ends once it can be read.
         self._wake_r, self._wake_w = socket.socketpair()
 
     @property
@@ -158,18 +165,31 @@ class VerifierServer:
         listening = self.max_sessions is None or self.max_sessions > 0
         if listening:
             sel.register(self._sock, selectors.EVENT_READ)
+        resume_at = None  # when a listener paused by a failed accept() is watched again
         try:
-            while not self._stopped.is_set() and (listening or self._sessions):
-                due = min((s.deadline for s in self._sessions), default=None)
-                timeout = None if due is None else max(0.0, due - time.monotonic())
+            while listening or self._sessions:
+                dues = [s.deadline for s in self._sessions]
+                if resume_at is not None:
+                    dues.append(resume_at)
+                timeout = max(0.0, min(dues) - time.monotonic()) if dues else None
                 events = sel.select(timeout)
+                if any(key.fileobj is self._wake_r for key, _ in events):
+                    break
                 for key, _ in events:
                     if key.data is not None:
                         self._serve(key.data)
-                if any(key.fileobj is self._sock for key, _ in events) and not self._accept():
-                    sel.unregister(self._sock)
-                    listening = False
+                if any(key.fileobj is self._sock for key, _ in events):
+                    try:
+                        listening = self._accept()
+                    except OSError as exc:
+                        self._log(f"accept failed: {exc}; listener paused for {ACCEPT_PAUSE_S} s")
+                        resume_at = time.monotonic() + ACCEPT_PAUSE_S
+                    if not listening or resume_at is not None:
+                        sel.unregister(self._sock)
                 now = time.monotonic()
+                if resume_at is not None and resume_at <= now:
+                    sel.register(self._sock, selectors.EVENT_READ)
+                    resume_at = None
                 for sess in [s for s in self._sessions if s.deadline <= now]:
                     self._end(sess, TimeoutError(
                         f"frame not complete by its deadline ({len(sess.buf)} bytes read,"
@@ -189,9 +209,8 @@ class VerifierServer:
         return t
 
     def stop(self) -> None:
-        """Make serve_forever return; it closes the listener and every open
-        connection on its way out."""
-        self._stopped.set()
+        """Make serve_forever return, at once if it has not started yet; it
+        closes the listener and every open connection on its way out."""
         try:
             self._wake_w.send(b"\0")
         except OSError:
@@ -201,7 +220,8 @@ class VerifierServer:
 
     def _accept(self) -> bool:
         """Accept the pending connections, at most one backlog of them; False
-        once the listener is done (max_sessions reached, or it failed)."""
+        once max_sessions connections have been accepted. Any failure of
+        accept() but an aborted connection raises OSError."""
         for _ in range(LISTEN_BACKLOG):
             if self._accepted == self.max_sessions:
                 break
@@ -209,8 +229,6 @@ class VerifierServer:
                 conn, _ = self._sock.accept()
             except (BlockingIOError, ConnectionAbortedError):
                 break
-            except OSError:
-                return False
             self._accepted += 1
             try:
                 conn.setblocking(False)

@@ -114,7 +114,6 @@ def _root_search(
 def brute_force_root(
     q: RootQuery,
     *,
-    indices: "range | list[int] | None" = None,
     use_filter: bool = True,
     max_candidates: int = DEFAULT_SEARCH_BUDGET,
 ) -> CanonicalForm | None:
@@ -126,7 +125,7 @@ def brute_force_root(
     returned value is re-verified against the query before it is returned.
     """
     countdown = _Countdown(max_candidates)
-    x = _root_search(q.y, q.e, q.max_word_length, indices, countdown, use_filter)
+    x = _root_search(q.y, q.e, q.max_word_length, None, countdown, use_filter)
     if x is not None:
         assert equals(power(x, q.e), q.y)
     return x

@@ -19,7 +19,7 @@ import socket
 import struct
 
 from .errors import EncodingError, FrameError
-from .hashing import deserialize, serialize
+from .hashing import _HEADER, deserialize, serialize
 from .protocol import SCHEMES, SchemeIPublic, SchemeIIPublic
 
 MSG_HELLO = 0x01
@@ -41,6 +41,9 @@ MAX_FRAME = 1 << 20
 _LEN = struct.Struct(">I")
 _HELLO_HEAD = struct.Struct(">BHII")
 _VERDICT = struct.Struct(">BH")
+# The largest value VERDICT's 2-byte round field holds, and the most rounds a
+# session may have.
+MAX_ROUNDS = 0xFFFF
 
 
 def pack_frame(msg_type: int, payload: bytes = b"") -> bytes:
@@ -107,12 +110,12 @@ def _split_braid(blob: bytes, n: int) -> tuple[bytes, int, bytes]:
     """Cut one self-delimiting braid encoding of ``n`` strands off the front
     of ``blob``: the encoding, its factor count and the rest. No table is
     decoded."""
-    if len(blob) < 14:
+    if len(blob) < _HEADER.size:
         raise FrameError(ERR_MALFORMED, "braid encoding truncated")
-    if int.from_bytes(blob[4:6], "big") != n:
+    _magic, strands, _inf, count = _HEADER.unpack_from(blob)
+    if strands != n:
         raise FrameError(ERR_MALFORMED, "strand count mismatch inside hello")
-    count = int.from_bytes(blob[10:14], "big")
-    size = 14 + count * 2 * n
+    size = _HEADER.size + count * 2 * n
     if len(blob) < size:
         raise FrameError(ERR_MALFORMED, "braid encoding truncated")
     return blob[:size], count, blob[size:]

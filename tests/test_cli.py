@@ -41,6 +41,22 @@ def test_keygen_writes_deterministic_files(tmp_path, capsys):
     assert (tmp_path / "k.sec").read_text() == first_sec
 
 
+def test_keygen_exponent_flags_are_two_spellings_for_either_scheme(tmp_path, capsys):
+    for scheme, names in (("1", "rs"), ("2", "ef")):
+        files = []
+        for first, second in (("--r", "--s"), ("--e", "--f")):
+            prefix = str(tmp_path / f"k{scheme}{first}")
+            code, _, _ = run_cli(
+                ["keygen", "--scheme", scheme, "--n", "8", first, "5", second, "7",
+                 "--len", "16", "--seed", "1", "--out", prefix],
+                capsys,
+            )
+            assert code == 0
+            files.append([pathlib.Path(prefix + ext).read_text() for ext in (".pub", ".sec")])
+        assert files[0] == files[1]
+        assert f"\n{names[0]} = 5\n{names[1]} = 7\n" in files[0][0]
+
+
 def test_keygen_rejects_bad_exponent(tmp_path, capsys):
     code, _, err = run_cli(
         ["keygen", "--scheme", "1", "--n", "8", "--r", "1", "--s", "3",
@@ -312,7 +328,7 @@ def test_verify_serve_refuses_bad_sampler_settings_before_listening(capsys):
     # --max-sessions 0 ends the listener at once, so a verifier that did
     # start would exit 0 here instead of hanging.
     for bad in (["--len", "-1"], ["--len", "0"], ["--len", "7"], ["--max-sessions", "-1"],
-                ["--port", "70000"]):
+                ["--port", "70000"], ["--rounds", "65536"]):
         code, out, err = run_cli(["verify-serve", "--max-sessions", "0", *bad], capsys)
         assert code == 2
         assert "listening" not in out and "must be" in err

@@ -1,3 +1,4 @@
+import errno
 import random
 import socket
 import struct
@@ -461,7 +462,8 @@ def test_bad_sampler_settings_fail_when_the_verifier_is_built():
     # public key answers with hash(X); 7 is just under the floor of 8.
     for kwargs in ({"word_length": -1}, {"word_length": 0}, {"word_length": 7},
                    {"word_length": 8.5}, {"rounds": 2.5}, {"max_sessions": -1},
-                   {"port": 70000}):
+                   {"port": 70000}, {"expect_scheme": 3}, {"expect_scheme": "1"},
+                   {"rounds": 65536}):
         with pytest.raises(InvalidParameterError):
             VerifierServer(**{"rounds": 1, **kwargs})
 
@@ -508,6 +510,43 @@ def test_stop_ends_the_serving_thread():
         srv.stop()
         thread.join(timeout=2.0)
         assert not thread.is_alive()
+
+
+def test_stop_before_serving_returns_at_once_and_stop_after_is_harmless():
+    srv = VerifierServer(rounds=1, word_length=8, seed=3)
+    srv.stop()
+    thread = srv.start()
+    thread.join(timeout=2.0)
+    assert not thread.is_alive()
+    srv.stop()
+
+
+def test_a_failing_accept_pauses_the_listener_without_ending_it(monkeypatch):
+    # accept() fails with EMFILE for five pauses' time from its first call, as
+    # it would while the process is out of descriptors.
+    real_accept = socket.socket.accept
+    calls = []
+
+    def accept(sock):
+        calls.append(time.monotonic())
+        if calls[-1] < calls[0] + 5 * N.ACCEPT_PAUSE_S:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    lines = []
+    srv = VerifierServer(rounds=1, word_length=8, seed=3, log=lines.append)
+    thread = srv.start()
+    try:
+        assert all(v.accepted for v in run_prover(*srv.address, make_keys(1)))
+        assert thread.is_alive()
+        failed = [t for t in calls if t < calls[0] + 5 * N.ACCEPT_PAUSE_S]
+        assert 2 <= len(failed) <= 6
+        assert any(line.startswith("accept failed:") for line in lines)
+    finally:
+        srv.stop()
+    thread.join(timeout=2.0)
+    assert not thread.is_alive()
 
 
 def test_connections_over_the_open_session_cap_are_refused(monkeypatch):
