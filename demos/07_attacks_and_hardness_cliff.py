@@ -2,9 +2,9 @@
 
 Four strategies play the prover role against an honest verifier:
 
-- random-digest guesses 32 bytes a round,
+- random guesses 32 bytes a round,
 - replay answers fresh challenges with digests from an eavesdropped session,
-- root-attack searches the strand blocks for secrets matching the public key
+- root searches the strand blocks for secrets matching the public key
   and, if it finds them, simply plays honestly,
 - split forgets strands of the public key: the lower strands of scheme 1's
   X = a^r * b^s are a^r and the upper ones b^s, since neither block crosses

@@ -4,15 +4,15 @@ Exit codes: 0 accept/success, 1 reject or failed selftest, 2 usage error,
 3 file I/O error, 4 network or protocol error. Every out-of-range setting
 exits 2 with one message form, "<name> must be an int >= <lo>" (or "in
 [<lo>, <hi>]"), from the library's own check. The environment variable
-BRAIDAUTH_SEED overrides --seed everywhere. Without either, verify-serve draws
-its challenge seed from OS entropy, so challenges do not repeat across restarts.
+BRAIDAUTH_SEED is read once and overrides --seed everywhere. verify-serve
+given neither passes no seed, and ``VerifierServer`` draws its own from OS
+entropy, so challenges do not repeat across restarts.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import secrets
 import sys
 
 from . import oracle
@@ -39,28 +39,26 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _seed_of(args) -> int:
-    env = os.environ.get("BRAIDAUTH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParameterError(f"BRAIDAUTH_SEED must be an integer, got {env!r}")
-    if args.seed is None:
-        return secrets.randbits(64)
-    return args.seed
-
-
-def _sampler_of(args, n: int) -> SamplerConfig:
-    length = args.len
-    minlen = args.minlen if args.minlen is not None else min(DEFAULT_MIN_CANONICAL, max(length, 1))
+def _sampler_of(args) -> SamplerConfig:
     return SamplerConfig(
-        n=n, word_length=length, min_canonical_length=minlen, seed=_seed_of(args)
+        n=args.n,
+        word_length=args.len,
+        min_canonical_length=min(DEFAULT_MIN_CANONICAL, max(args.len, 1)),
+        seed=args.seed,
     )
 
 
-def _keygen(args, rng: DeterministicRng):
-    return P.SCHEMES[args.scheme].keygen(_sampler_of(args, args.n), args.exp1, args.exp2, rng)
+def _key_sampler_of(args) -> SamplerConfig:
+    """keygen's and run-local's sampler: below 4 strands a strand block has no
+    generator, and every key braid would be the identity."""
+    if args.n < 4 or args.n % 2 != 0:
+        raise InvalidParameterError(f"n must be an even int >= 4, got {args.n}")
+    return _sampler_of(args)
+
+
+def _keygen(args, sampler: SamplerConfig):
+    rng = DeterministicRng(args.seed, "keygen")
+    return P.SCHEMES[args.scheme].keygen(sampler, args.exp1, args.exp2, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +66,9 @@ def _keygen(args, rng: DeterministicRng):
 # ---------------------------------------------------------------------------
 
 def cmd_keygen(args) -> int:
-    if args.n % 2 != 0:
-        return _fail("n must be even", EXIT_USAGE)
-    try:
-        print(_sampler_of(args, args.n).echo())
-        keys = _keygen(args, DeterministicRng(_seed_of(args), "keygen"))
-    except BraidAuthError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    sampler = _key_sampler_of(args)
+    print(sampler.echo())
+    keys = _keygen(args, sampler)
     pub_path = args.out + ".pub"
     sec_path = args.out + ".sec"
     try:
@@ -101,8 +95,6 @@ def cmd_prove(args) -> int:
         keys = _load_keypair(args.pub, args.sec)
     except OSError as exc:
         return _fail(f"cannot read key files: {exc}", EXIT_IO)
-    except BraidAuthError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     try:
         verdicts = run_prover(args.host, args.port, keys, log=lambda m: print(m))
     except ProverError as exc:
@@ -120,7 +112,7 @@ def _verifier_of(args) -> VerifierServer:
         port=args.port,
         rounds=args.rounds,
         word_length=args.len,
-        seed=_seed_of(args),
+        seed=args.seed,
         expect_scheme=args.scheme,
         max_sessions=args.max_sessions,
         log=lambda m: print(m),
@@ -130,9 +122,7 @@ def _verifier_of(args) -> VerifierServer:
 def cmd_verify_serve(args) -> int:
     try:
         server = _verifier_of(args)
-    except InvalidParameterError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except (BraidAuthError, OSError) as exc:
+    except OSError as exc:
         return _fail(str(exc), EXIT_NET)
     host, port = server.address
     print(f"verifier listening on {host}:{port} (rounds={args.rounds})")
@@ -146,46 +136,27 @@ def cmd_verify_serve(args) -> int:
 
 
 def cmd_run_local(args) -> int:
-    if args.n % 2 != 0:
-        return _fail("n must be even", EXIT_USAGE)
-    try:
-        session = P.SessionConfig(args.rounds, _sampler_of(args, args.n))
-        keys = _keygen(args, DeterministicRng(_seed_of(args), "keygen"))
-        transcript = P.run_session(keys, session, DeterministicRng(_seed_of(args), "verifier"))
-    except BraidAuthError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    sampler = _key_sampler_of(args)
+    session = P.SessionConfig(args.rounds, sampler)
+    keys = _keygen(args, sampler)
+    transcript = P.run_session(keys, session, DeterministicRng(args.seed, "verifier"))
     print(P.transcript_text(transcript))
     print("ACCEPTED" if transcript.accepted else "REJECTED")
     return EXIT_OK if transcript.accepted else EXIT_REJECT
 
 
-_STRATEGY_ALIASES = {
-    "random": oracle.STRATEGY_RANDOM,
-    "random-digest": oracle.STRATEGY_RANDOM,
-    "replay": oracle.STRATEGY_REPLAY,
-    "root": oracle.STRATEGY_ROOT,
-    "root-attack": oracle.STRATEGY_ROOT,
-    "split": oracle.STRATEGY_SPLIT,
-}
-
-
 def cmd_attack(args) -> int:
-    strategy = _STRATEGY_ALIASES[args.strategy]
-    try:
-        cfg = _sampler_of(args, args.n)
-        keys = _keygen(args, DeterministicRng(_seed_of(args), "keygen"))
-        report = oracle.impersonation_experiment(
-            keys,
-            strategy,
-            args.trials,
-            DeterministicRng(_seed_of(args), "attack"),
-            rounds=args.rounds,
-            sampler=cfg,
-            root_bound=args.bound,
-        )
-    except BraidAuthError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    print(cfg.echo())
+    sampler = _sampler_of(args)
+    report = oracle.impersonation_experiment(
+        _keygen(args, sampler),
+        args.strategy,
+        args.trials,
+        DeterministicRng(args.seed, "attack"),
+        rounds=args.rounds,
+        sampler=sampler,
+        root_bound=args.bound,
+    )
+    print(sampler.echo())
     print(oracle.report_table([report]))
     if report.note:
         print(f"note: {report.note}")
@@ -200,7 +171,7 @@ def cmd_attack(args) -> int:
 
 def cmd_selftest(args) -> int:
     failed = None
-    for name, ok, detail in run_selftest(args.n, _seed_of(args)):
+    for name, ok, detail in run_selftest(args.n, args.seed):
         print(f"{'ok  ' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
         if not ok and failed is None:
             failed = name
@@ -224,12 +195,11 @@ def _strand_counts(text: str) -> tuple[int, ...]:
 
 
 def _add_scheme_flags(sub) -> None:
-    sub.add_argument("--scheme", type=int, choices=(1, 2), default=1)
+    sub.add_argument("--scheme", type=int, choices=sorted(P.SCHEMES), default=1)
     sub.add_argument("--n", type=int, default=16, help="strand count (even)")
     sub.add_argument("--r", "--e", dest="exp1", type=int, default=2, help="first exponent")
     sub.add_argument("--s", "--f", dest="exp2", type=int, default=2, help="second exponent")
     sub.add_argument("--len", type=int, default=DEFAULT_DEMO_LENGTH, help="sampled word length")
-    sub.add_argument("--minlen", type=int, default=None, help="canonical-length floor for keys")
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -257,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--port", type=int, default=0)
     vs.add_argument("--rounds", type=int, default=1)
     vs.add_argument("--len", type=int, default=32, help="challenge word length")
-    vs.add_argument("--scheme", type=int, choices=(1, 2), default=None,
+    vs.add_argument("--scheme", type=int, choices=sorted(P.SCHEMES), default=None,
                     help="refuse clients offering the other scheme")
     vs.add_argument("--max-sessions", type=int, default=None)
     vs.add_argument("--seed", type=int, default=None,
@@ -271,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     at = subs.add_parser("attack", help="run an impersonation experiment")
     _add_scheme_flags(at)
-    at.add_argument("--strategy", choices=sorted(_STRATEGY_ALIASES), required=True)
+    at.add_argument("--strategy", choices=oracle.STRATEGIES, required=True)
     at.add_argument("--trials", type=int, default=100)
     at.add_argument("--rounds", type=int, default=1)
     at.add_argument("--bound", type=int, default=None, help="root-search word length bound")
@@ -289,9 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
+    env = os.environ.get("BRAIDAUTH_SEED")
+    if env is not None and hasattr(args, "seed"):
+        try:
+            args.seed = int(env)
+        except ValueError:
+            return _fail(f"BRAIDAUTH_SEED must be an integer, got {env!r}", EXIT_USAGE)
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
+    except BraidAuthError as exc:
         return _fail(str(exc), EXIT_USAGE)
 
 

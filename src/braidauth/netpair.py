@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import hmac
+import secrets
 import selectors
 import socket
 import threading
@@ -114,7 +115,9 @@ class VerifierServer:
     scheme is refused. ``max_sessions`` is None (no limit) or at least 0: the
     listener stops after that many connections and the loop returns once the
     last of them ends. Only that and ``stop()`` end the listener: a failed
-    ``accept()`` is logged and pauses it for ``ACCEPT_PAUSE_S``.
+    ``accept()`` is logged and pauses it for ``ACCEPT_PAUSE_S``. ``seed``
+    replays a fixed challenge stream; None, the default, draws a seed from OS
+    entropy, so challenges do not repeat across restarts.
     """
 
     def __init__(
@@ -124,7 +127,7 @@ class VerifierServer:
         *,
         rounds: int = 1,
         word_length: int = 32,
-        seed: int = 0,
+        seed: int | None = None,
         expect_scheme: int | None = None,
         max_sessions: int | None = None,
         log=None,
@@ -139,6 +142,7 @@ class VerifierServer:
             check_int("max_sessions", max_sessions, 0)
         self.max_sessions = max_sessions
         self._log = log or (lambda msg: None)
+        seed = secrets.randbits(64) if seed is None else seed
         self._rng = DeterministicRng(seed, "verifier-server")
         self._session_counter = 0
         self._accepted = 0
@@ -384,13 +388,7 @@ def run_prover(
         with socket.create_connection((host, port), timeout=timeout) as conn:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             wire.send_frame(conn, wire.MSG_HELLO, wire.pack_hello(keys.public))
-            while True:
-                try:
-                    frame = wire.recv_frame(conn)
-                except FrameError as exc:
-                    raise ProverError(f"bad frame from verifier: {exc}") from exc
-                if frame is None:
-                    break
+            while (frame := wire.recv_frame(conn)) is not None:
                 msg_type, payload = frame
                 if msg_type == wire.MSG_CHALLENGE:
                     response = keys.scheme.respond(keys, wire.unpack_challenge(payload))
@@ -406,6 +404,10 @@ def run_prover(
                     raise ProverError(f"unexpected frame type {msg_type}")
     except OSError as exc:
         raise ProverError(f"network failure: {exc}") from exc
+    except ProverError:
+        raise
+    except BraidAuthError as exc:  # a frame, braid or strand count the key cannot take
+        raise ProverError(f"bad frame from verifier: {exc}") from exc
     if not verdicts:
         raise ProverError("connection closed before any verdict")
     return verdicts

@@ -135,9 +135,9 @@ def brute_force_root(
 # Impersonation experiments
 # ---------------------------------------------------------------------------
 
-STRATEGY_RANDOM = "random-digest"
+STRATEGY_RANDOM = "random"
 STRATEGY_REPLAY = "replay"
-STRATEGY_ROOT = "root-attack"
+STRATEGY_ROOT = "root"
 STRATEGY_SPLIT = "split"
 
 STRATEGIES = (STRATEGY_RANDOM, STRATEGY_REPLAY, STRATEGY_ROOT, STRATEGY_SPLIT)

@@ -11,6 +11,7 @@ from braidauth.cli import _verifier_of, build_parser, main
 from braidauth.netpair import VerifierServer
 from braidauth.rng import DeterministicRng
 from braidauth.sampling import SamplerConfig
+from conftest import faulty_verifier_frames, one_frame_verifier
 
 
 def run_cli(args, capsys):
@@ -77,6 +78,16 @@ def test_keygen_rejects_odd_n(tmp_path, capsys):
     assert "even" in err
 
 
+def test_key_commands_refuse_fewer_than_four_strands(tmp_path, capsys):
+    # Two strands leave each strand block without a generator, so every key
+    # braid would be the identity.
+    for argv in (["keygen", "--out", str(tmp_path / "k")], ["run-local"]):
+        code, _, err = run_cli([*argv, "--n", "2", "--len", "8", "--seed", "1"], capsys)
+        assert code == 2
+        assert err == "braidauth: n must be an even int >= 4, got 2\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_keygen_io_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["keygen", "--scheme", "1", "--n", "4", "--len", "8", "--seed", "1",
@@ -102,6 +113,15 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     c = (tmp_path / "c.pub").read_text()
     assert a != b
     assert b == c
+
+
+def test_non_integer_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BRAIDAUTH_SEED", "x1")
+    code, _, err = run_cli(["keygen", "--n", "8", "--len", "16", "--out", str(tmp_path / "k")],
+                           capsys)
+    assert code == 2
+    assert err == "braidauth: BRAIDAUTH_SEED must be an integer, got 'x1'\n"
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +185,9 @@ def test_attack_random_strategy(capsys):
         capsys,
     )
     assert code == 0
-    assert "random-digest" in out
+    assert "random" in out
     assert " 50 " in out.replace("\n", " ")
-    row = [line for line in out.splitlines() if "random-digest" in line][0]
+    row = [line for line in out.splitlines() if "random" in line][0]
     assert row.split()[2] == "0"
 
 
@@ -178,7 +198,7 @@ def test_attack_root_toy_parameters(capsys):
         capsys,
     )
     assert code == 0
-    row = [line for line in out.splitlines() if "root-attack" in line][0]
+    row = [line for line in out.splitlines() if "root" in line][0]
     columns = row.split()
     assert columns[1] == "20" and columns[2] == "20"
     assert "n=3 L=2" in out
@@ -286,6 +306,23 @@ def test_prove_refuses_malformed_key_files_as_usage_errors(tmp_path, capsys):
         )
         assert code == 2
         assert err.startswith("braidauth: ")
+
+
+def test_prove_exits_4_when_the_verifier_breaks_the_protocol(tmp_path, capsys):
+    run_cli(
+        ["keygen", "--scheme", "1", "--n", "8", "--len", "16", "--seed", "9",
+         "--out", str(tmp_path / "k")],
+        capsys,
+    )
+    for msg_type, payload in faulty_verifier_frames():
+        host, port = one_frame_verifier(msg_type, payload)
+        code, _, err = run_cli(
+            ["prove", "--pub", str(tmp_path / "k.pub"), "--sec", str(tmp_path / "k.sec"),
+             "--host", host, "--port", str(port)],
+            capsys,
+        )
+        assert code == 4
+        assert err.startswith("braidauth: bad frame from verifier: ")
 
 
 def test_scheme_mismatch_is_network_error(tmp_path, capsys):
@@ -396,7 +433,9 @@ def test_module_entry_point_subprocess(tmp_path):
 
 
 def test_usage_error_exit_code():
-    for argv in (["keygen"], ["selftest", "--n", "4,x"], ["selftest", "--n", "1"]):
+    for argv in (["keygen"], ["selftest", "--n", "4,x"], ["selftest", "--n", "1"],
+                 ["keygen", "--out", "k", "--minlen", "3"],
+                 ["attack", "--strategy", "random-digest"]):
         proc = subprocess.run(
             [sys.executable, "-m", "braidauth", *argv],
             capture_output=True,

@@ -267,9 +267,9 @@ def test_attack_report_validation_and_rendering():
         O.AttackReport("x", 5, 6, cfg)
     rep = O.AttackReport(O.STRATEGY_RANDOM, 100, 0, cfg, note="demo")
     table = O.report_table([rep])
-    assert "random-digest" in table and "100" in table and "0.0000" in table
+    assert "random" in table and "100" in table and "0.0000" in table
     text = O.report_text(rep)
-    assert "strategy = random-digest" in text
+    assert "strategy = random" in text
     assert "parameters = n=4 L=8 minlen=3 seed=0" in text
     assert "note = demo" in text
 

@@ -24,6 +24,7 @@ from braidauth.netpair import (
 )
 from braidauth.rng import DeterministicRng
 from braidauth.sampling import SamplerConfig
+from conftest import faulty_verifier_frames, one_frame_verifier
 
 
 def make_keys(scheme=1, n=8, seed=21):
@@ -472,6 +473,28 @@ def test_prover_refuses_a_port_out_of_range():
     # socket.create_connection would dial port 70000 - 65536 instead.
     with pytest.raises(InvalidParameterError):
         run_prover("127.0.0.1", 70000, make_keys(1))
+
+
+def test_a_verifier_breaking_the_protocol_raises_prover_error():
+    keys = make_keys(1, n=8)
+    for msg_type, payload in faulty_verifier_frames():
+        with pytest.raises(ProverError):
+            run_prover(*one_frame_verifier(msg_type, payload), keys, timeout=10)
+
+
+def test_unseeded_verifiers_send_different_challenges():
+    pub = make_keys(1).public
+    challenges = []
+    for _ in range(2):
+        srv = VerifierServer(word_length=16)
+        srv.start()
+        try:
+            (msg_type, payload), _ = _first_reply_to_hello(srv, pub)
+        finally:
+            srv.stop()
+        assert msg_type == W.MSG_CHALLENGE
+        challenges.append(payload)
+    assert challenges[0] != challenges[1]
 
 
 def test_max_sessions_stops_listener():
