@@ -18,9 +18,8 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from . import permutations as perms
-from .braid import MAX_STRANDS, CanonicalForm, _form
-from .errors import EncodingError
+from .braid import MAX_STRANDS, CanonicalForm, _form, validate_canonical_form
+from .errors import EncodingError, InvalidParameterError
 
 MAGIC = b"BCF1"
 _HEADER = struct.Struct(">4sHiI")
@@ -41,7 +40,8 @@ def serialize(x: CanonicalForm) -> bytes:
 
 def deserialize(data: bytes) -> CanonicalForm:
     """Decode and fully validate a canonical form, the only path from bytes
-    to a form. One pass computes each table's two descent masks once.
+    to a form: each table must be a permutation, and the whole form must then
+    pass :func:`braid.validate_canonical_form`.
 
     Raises :class:`EncodingError` with a distinct code for each failure mode;
     see the class docstring for the code list.
@@ -59,26 +59,16 @@ def deserialize(data: bytes) -> CanonicalForm:
         raise EncodingError("truncated", f"need {expected} factor bytes, got {body}")
     if body > expected:
         raise EncodingError("trailing-data", f"{body - expected} bytes past the last factor")
-    entry = struct.Struct(f">{n}H")
-    ident, twist = list(range(n)), perms.reversal(n)
-    factors = []
-    bad = None
-    prev_inv_desc = -1
-    for k in range(count):
-        table = entry.unpack_from(data, _HEADER.size + k * entry.size)
+    ident = list(range(n))
+    factors = tuple(struct.Struct(f">{n}H").iter_unpack(data[_HEADER.size :]))
+    for k, table in enumerate(factors):
         if sorted(table) != ident:
             raise EncodingError("not-bijective", f"factor {k} is not a permutation: {table}")
-        desc = perms.descent_mask(table)
-        if desc == 0 or table == twist:
-            raise EncodingError("not-canonical", f"factor {k} must not be identity or half twist")
-        # A bad pair is reported only once every table has been checked.
-        if bad is None and desc & ~prev_inv_desc:
-            bad = k - 1
-        prev_inv_desc = perms.inverse_descent_mask(table)
-        factors.append(table)
-    if bad is not None:
-        raise EncodingError("not-canonical", f"factors {bad}, {bad + 1} are not left weighted")
-    return _form(n, inf, tuple(factors))
+    try:
+        validate_canonical_form(n, inf, factors)
+    except InvalidParameterError as exc:
+        raise EncodingError("not-canonical", str(exc)) from None
+    return _form(n, inf, factors)
 
 
 def hash_braid(x: CanonicalForm) -> bytes:

@@ -177,6 +177,9 @@ class VerifierServer:
                     dues.append(resume_at)
                 timeout = max(0.0, min(dues) - time.monotonic()) if dues else None
                 events = sel.select(timeout)
+                # A session past its deadline gets the one read this select
+                # reports, even if other sessions' steps ran past it meanwhile.
+                now = time.monotonic()
                 if any(key.fileobj is self._wake_r for key, _ in events):
                     break
                 for key, _ in events:
@@ -190,7 +193,6 @@ class VerifierServer:
                         resume_at = time.monotonic() + ACCEPT_PAUSE_S
                     if not listening or resume_at is not None:
                         sel.unregister(self._sock)
-                now = time.monotonic()
                 if resume_at is not None and resume_at <= now:
                     sel.register(self._sock, selectors.EVENT_READ)
                     resume_at = None

@@ -2,18 +2,19 @@
 
 This is the independent referee for the canonical-form machinery: it never
 normalizes anything. Two words are judged equal when they are connected inside
-the graph whose nodes are all freely reduced words up to a length cap and
-whose edges are single applications of
+the graph whose nodes are all freely reduced words up to a length cap. An
+edge joins a word to the free reduction of one rewrite of it, or of it with
+one canceling letter pair inserted (under the cap); a rewrite is
 
 - a far-commutation swap (adjacent letters with index distance > 1, any signs),
 - a braid-relation rewrite on a 3-letter window (all six sign patterns that
-  are consequences of the positive relation),
-- insertion of a canceling letter pair (staying reduced and under the cap).
+  are consequences of the positive relation).
 
-Free cancellation is the reverse of insertion, so connectivity captures it.
-Every edge is a sound group identity; completeness depends on the cap being
-generous enough for the word lengths being compared, which the callers keep
-tiny (this is an exhaustive toy-scale tool, exponential in the cap).
+An insertion alone reduces back to the word itself, so it counts only with
+the rewrite that follows it. Every edge is a sound group identity;
+completeness depends on the cap being generous enough for the word lengths
+being compared, which the callers keep tiny (this is an exhaustive toy-scale
+tool, exponential in the cap).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def free_reduce(letters: Letters) -> Letters:
     return tuple(out)
 
 
-def _rewrite_neighbors(letters: Letters) -> "list[Letters]":
+def rewrite_neighbors(letters: Letters) -> "list[Letters]":
     result = []
     for i in range(len(letters) - 1):
         x, y = letters[i], letters[i + 1]
@@ -67,18 +68,14 @@ def _rewrite_neighbors(letters: Letters) -> "list[Letters]":
     return result
 
 
-def _insertion_neighbors(letters: Letters, n: int, cap: int) -> "list[Letters]":
+def insertion_neighbors(letters: Letters, n: int, cap: int) -> "list[Letters]":
     if len(letters) + 2 > cap:
         return []
-    result = []
-    alphabet = letter_followers(n)[None]
-    for p in range(len(letters) + 1):
-        for letter in alphabet:
-            pair = (letter, GeneratorLetter(letter.index, -letter.sign))
-            candidate = letters[:p] + pair + letters[p:]
-            if free_reduce(candidate) == candidate:
-                result.append(candidate)
-    return result
+    return [
+        letters[:p] + (letter, GeneratorLetter(letter.index, -letter.sign)) + letters[p:]
+        for p in range(len(letters) + 1)
+        for letter in letter_followers(n)[None]
+    ]
 
 
 class RewritingClosure:
@@ -92,12 +89,9 @@ class RewritingClosure:
         self._parent = list(range(len(words)))
         for w in words:
             wid = self._ids[w]
-            for nb in _rewrite_neighbors(w):
-                reduced = free_reduce(nb)
-                if len(reduced) <= self.cap:
-                    self._union(wid, self._ids[reduced])
-            for nb in _insertion_neighbors(w, self.n, self.cap):
-                self._union(wid, self._ids[nb])
+            for v in (w, *insertion_neighbors(w, self.n, self.cap)):
+                for nb in rewrite_neighbors(v):
+                    self._union(wid, self._ids[free_reduce(nb)])
 
     def _find(self, i: int) -> int:
         parent = self._parent

@@ -14,7 +14,7 @@ from . import braid as B
 from . import oracle
 from . import protocol as P
 from .hashing import deserialize, hash_braid, serialize
-from .rewriting import RewritingClosure
+from .rewriting import RewritingClosure, insertion_neighbors, rewrite_neighbors
 from .rng import DeterministicRng
 from .sampling import (
     SamplerConfig,
@@ -37,40 +37,19 @@ def _random_form(n: int, length: int, rng: DeterministicRng) -> B.CanonicalForm:
 
 
 def _random_rewrite(w: B.BraidWord, rng: DeterministicRng) -> B.BraidWord:
-    """Apply a few random relation moves and cancellations to a word."""
-    letters = list(w.letters)
+    """Take six random steps in the rewriting closure's graph: each step picks
+    the word's relation rewrites (far commutations and braid relations, any
+    signs) or its canceling-pair insertions, then one move among them. Every
+    move is a group identity, so the word's value never changes."""
+    letters = w.letters
     for _ in range(6):
-        move = rng.randbelow(3)
-        if move == 0 and len(letters) >= 2:
-            # far commutation at a random eligible spot
-            spots = [
-                i
-                for i in range(len(letters) - 1)
-                if abs(letters[i].index - letters[i + 1].index) > 1
-            ]
-            if spots:
-                i = rng.choice(spots)
-                letters[i], letters[i + 1] = letters[i + 1], letters[i]
-        elif move == 1:
-            # insert a canceling pair
-            i = rng.randbelow(len(letters) + 1)
-            index = rng.randbelow(w.n - 1) + 1
-            sign = rng.choice((1, -1))
-            letters[i:i] = [B.GeneratorLetter(index, sign), B.GeneratorLetter(index, -sign)]
+        if rng.randbelow(2):
+            moves = rewrite_neighbors(letters)
         else:
-            # positive braid relation on an eligible window
-            spots = [
-                i
-                for i in range(len(letters) - 2)
-                if letters[i].sign == letters[i + 1].sign == letters[i + 2].sign == 1
-                and letters[i].index == letters[i + 2].index
-                and abs(letters[i].index - letters[i + 1].index) == 1
-            ]
-            if spots:
-                i = rng.choice(spots)
-                a, b = letters[i], letters[i + 1]
-                letters[i : i + 3] = [b, a, b]
-    return B.BraidWord(w.n, tuple(letters))
+            moves = insertion_neighbors(letters, w.n, len(letters) + 2)
+        if moves:
+            letters = rng.choice(moves)
+    return B.BraidWord(w.n, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +153,10 @@ def lower_block_positive_part(x: B.CanonicalForm) -> B.CanonicalForm:
     """Clear a negative half-twist power off a lower-block braid by central
     lower-block twists, exposing a positive representative whose factors must
     stay inside the block."""
-    n = x.n
-    m = n // 2
-    lower_twist_letters = [
-        B.GeneratorLetter(i, 1) for top in range(m - 1, 0, -1) for i in range(1, top + 1)
-    ]
-    lower_twist = B.normalize(B.BraidWord(n, tuple(lower_twist_letters)))
-    y = x
-    while y.inf < 0:
-        y = B.multiply(B.power(lower_twist, 2), y)
-    return y
+    while x.inf < 0:
+        lower_twist = B.normalize(B.BraidWord(x.n, B.delta_word(x.n // 2).letters))
+        x = B.multiply(B.power(lower_twist, 2), x)
+    return x
 
 
 def check_subgroup_closure(sizes: Iterable[int], rng: DeterministicRng) -> None:

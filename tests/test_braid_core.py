@@ -8,7 +8,13 @@ import pytest
 import braidauth.braid as B
 import braidauth.permutations as perms
 from braidauth.errors import InvalidParameterError
-from braidauth.rewriting import RewritingClosure, free_reduce
+from braidauth.rewriting import (
+    _BRAID_PATTERNS,
+    RewritingClosure,
+    free_reduce,
+    insertion_neighbors,
+    rewrite_neighbors,
+)
 from burau_ref import P61, burau_equal, burau_matrix, burau_mod_p, half_twist_letters, mat_mul
 from conftest import random_braid_word
 
@@ -660,6 +666,33 @@ def test_rewriting_rules_are_sound_by_burau():
             ),
         )
         assert burau_equal(lhs, rhs)
+
+
+def test_every_closure_move_keeps_the_burau_image_at_n8():
+    # Words over three consecutive generators hold far commutations and braid
+    # windows of every sign pattern, in both index orders.
+    rng = random.Random("closure-moves")
+    n = 8
+    t = rng.randrange(2, P61 - 1)
+    windows, far_swaps, insertions = set(), 0, 0
+    for _ in range(120):
+        low = rng.randrange(1, n - 2)
+        letters = tuple(
+            B.GeneratorLetter(rng.randrange(low, low + 3), rng.choice((1, -1)))
+            for _ in range(rng.randrange(3, 10))
+        )
+        for x, y, z in zip(letters, letters[1:], letters[2:]):
+            signs = (x.sign, y.sign, z.sign)
+            if x.index == z.index and abs(x.index - y.index) == 1 and signs in _BRAID_PATTERNS:
+                windows.add((signs, x.index < y.index))
+        far_swaps += sum(abs(x.index - y.index) > 1 for x, y in zip(letters, letters[1:]))
+        inserted = insertion_neighbors(letters, n, len(letters) + 2)
+        insertions += len(inserted)
+        image = burau_mod_p(n, letters, t)
+        for nb in rewrite_neighbors(letters) + inserted:
+            assert burau_mod_p(n, nb, t) == image, (letters, nb)
+    assert len(windows) == 2 * len(_BRAID_PATTERNS)
+    assert far_swaps > 0 and insertions > 0
 
 
 def test_equals_agrees_with_rewriting_closure_small(rng):

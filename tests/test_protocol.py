@@ -5,6 +5,7 @@ import pytest
 
 import braidauth.braid as B
 import braidauth.protocol as P
+import braidauth.wire as W
 from braidauth.errors import InvalidParameterError, SamplingFailure
 from braidauth.hashing import hash_braid
 from braidauth.rng import DeterministicRng
@@ -326,3 +327,18 @@ def test_key_file_mismatch_detected():
         P.parse_public_key("scheme = 9\nn = 4\nX = 00\n")
     with pytest.raises(InvalidParameterError, match="r must be"):
         P.parse_public_key(P.format_public_key(k1.public).replace("r = 2", "r = 1"))
+
+
+def test_key_exponents_must_fit_the_hello_field():
+    # HELLO carries each exponent in 4 unsigned bytes.
+    keys = P.keygen2(cfg_for(8, length=16, minlen=2), 2, 3, DeterministicRng(85, "kg"))
+    text = P.format_public_key(keys.public)
+    top = P.parse_public_key(text.replace("\ne = 2\n", f"\ne = {2**32 - 1}\n"))
+    assert W.unpack_hello(W.pack_hello(top)) == top
+    with pytest.raises(InvalidParameterError, match=r"e must be an int in \[2, 4294967295\]"):
+        P.parse_public_key(text.replace("\ne = 2\n", f"\ne = {2**32}\n"))
+    cfg = cfg_for(8, length=16, minlen=2)
+    with pytest.raises(InvalidParameterError, match="s must be"):
+        P.keygen1(cfg, 2, 2**32, DeterministicRng(85, "kg"))
+    with pytest.raises(InvalidParameterError, match="f must be"):
+        P.keygen2(cfg, 2, 2**32, DeterministicRng(85, "kg"))

@@ -360,6 +360,37 @@ def test_trickled_frame_times_out_and_server_keeps_serving(monkeypatch):
         srv.stop()
 
 
+def test_a_frame_that_arrives_during_another_sessions_step_is_read(monkeypatch):
+    monkeypatch.setattr(N, "READ_TIMEOUT_S", 0.5)
+    slow_keys, keys = make_keys(1, seed=31), make_keys(1, seed=32)
+    step_started = threading.Event()
+    original = P._expected_digest1
+
+    def slow(pub, *args):
+        if pub == slow_keys.public:
+            step_started.set()
+            time.sleep(1.0)  # past the other session's HELLO deadline
+        return original(pub, *args)
+
+    # The Scheme value calls it by its module-global name.
+    monkeypatch.setattr(P, "_expected_digest1", slow)
+    srv = VerifierServer(rounds=1, word_length=16, seed=9)
+    srv.start()
+    try:
+        with socket.create_connection(srv.address, timeout=10) as hog, \
+                socket.create_connection(srv.address, timeout=10) as conn:
+            _wait_for(lambda: len(srv._sessions) == 2, "both connections to be accepted")
+            accepted = time.monotonic()
+            W.send_frame(hog, W.MSG_HELLO, W.pack_hello(slow_keys.public))
+            assert step_started.wait(5)
+            W.send_frame(conn, W.MSG_HELLO, W.pack_hello(keys.public))
+            assert time.monotonic() - accepted < 0.4, "HELLO not sent inside its deadline"
+            assert W.recv_frame(conn)[0] == W.MSG_CHALLENGE
+            assert W.recv_frame(hog)[0] == W.MSG_CHALLENGE
+    finally:
+        srv.stop()
+
+
 @pytest.mark.parametrize("rounds,challenges", [(3, 2), (1, 1)])
 def test_silent_peer_costs_one_digest_and_at_most_one_more_challenge(
     monkeypatch, rounds, challenges
