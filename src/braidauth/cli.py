@@ -187,9 +187,10 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _strand_counts(text: str) -> tuple[int, ...]:
-    """selftest's --n: comma-separated strand counts, each under the library's rule."""
+    """selftest's --n: comma-separated strand counts, each at least 3; at 2 no
+    key braid passes the hardness floor, so key generation cannot succeed."""
     try:
-        return tuple(check_int("n", int(part), 2, MAX_STRANDS) for part in text.split(","))
+        return tuple(check_int("n", int(part), 3, MAX_STRANDS) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

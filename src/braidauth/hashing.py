@@ -38,6 +38,24 @@ def serialize(x: CanonicalForm) -> bytes:
     return b"".join(parts)
 
 
+def split_encoding(data: bytes) -> tuple[int, int, bytes, bytes]:
+    """Cut one encoding off the front of ``data`` from its header alone: its
+    strand count, its factor count, its bytes and the rest. No table is
+    decoded. Raises :class:`EncodingError` (``truncated``, ``bad-magic``,
+    ``bad-strand-count``)."""
+    if len(data) < _HEADER.size:
+        raise EncodingError("truncated", f"need {_HEADER.size} header bytes, got {len(data)}")
+    magic, n, _inf, count = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise EncodingError("bad-magic", f"expected {MAGIC!r}, got {magic!r}")
+    if n < 2 or n > MAX_STRANDS:
+        raise EncodingError("bad-strand-count", f"strand count {n} outside [2, {MAX_STRANDS}]")
+    size = _HEADER.size + count * 2 * n
+    if len(data) < size:
+        raise EncodingError("truncated", f"need {size} bytes for {count} factors, got {len(data)}")
+    return n, count, data[:size], data[size:]
+
+
 def deserialize(data: bytes) -> CanonicalForm:
     """Decode and fully validate a canonical form, the only path from bytes
     to a form: each table must be a permutation, and the whole form must then
@@ -46,19 +64,10 @@ def deserialize(data: bytes) -> CanonicalForm:
     Raises :class:`EncodingError` with a distinct code for each failure mode;
     see the class docstring for the code list.
     """
-    if len(data) < _HEADER.size:
-        raise EncodingError("truncated", f"need {_HEADER.size} header bytes, got {len(data)}")
-    magic, n, inf, count = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise EncodingError("bad-magic", f"expected {MAGIC!r}, got {magic!r}")
-    if n < 2 or n > MAX_STRANDS:
-        raise EncodingError("bad-strand-count", f"strand count {n} outside [2, {MAX_STRANDS}]")
-    body = len(data) - _HEADER.size
-    expected = count * 2 * n
-    if body < expected:
-        raise EncodingError("truncated", f"need {expected} factor bytes, got {body}")
-    if body > expected:
-        raise EncodingError("trailing-data", f"{body - expected} bytes past the last factor")
+    n, _count, _blob, rest = split_encoding(data)
+    if rest:
+        raise EncodingError("trailing-data", f"{len(rest)} bytes past the last factor")
+    _magic, _n, inf, _count = _HEADER.unpack_from(data)
     ident = list(range(n))
     factors = tuple(struct.Struct(f">{n}H").iter_unpack(data[_HEADER.size :]))
     for k, table in enumerate(factors):

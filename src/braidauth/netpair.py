@@ -238,13 +238,14 @@ class VerifierServer:
             self._accepted += 1
             try:
                 conn.setblocking(False)
-                # Each round writes VERDICT then the next CHALLENGE with no
-                # read in between; with Nagle on, the second frame would wait
-                # for the prover's delayed ACK.
+                # A write the socket sends in pieces (a frame over one
+                # segment, or a tail flushed after the send buffer filled)
+                # ends in a short segment; with Nagle on, it would wait for
+                # the prover's delayed ACK of the segments before it.
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 if len(self._sessions) >= MAX_OPEN_SESSIONS:
                     self._log(f"refusing connection: {MAX_OPEN_SESSIONS} sessions already open")
-                    wire.send_frame(conn, wire.MSG_ERROR, bytes([wire.ERR_BUSY]))
+                    conn.send(wire.pack_frame(wire.MSG_ERROR, bytes([wire.ERR_BUSY])))
                     conn.close()
                     continue
             except OSError:
@@ -277,7 +278,7 @@ class VerifierServer:
             self._log(f"refusing connection: {exc}")
             sess.steps = None
             try:
-                self._send(sess, wire.MSG_ERROR, bytes([exc.code]))
+                self._send(sess, wire.pack_frame(wire.MSG_ERROR, bytes([exc.code])))
             except OSError:
                 pass
         except (OSError, BraidAuthError) as exc:
@@ -310,11 +311,16 @@ class VerifierServer:
         self._session_counter += 1
         return self._rng.spawn(f"session-{self._session_counter}")
 
-    def _send(self, sess: _Session, msg_type: int, payload: bytes) -> None:
-        if sess.out:
-            sess.out += wire.pack_frame(msg_type, payload)
-        else:
-            sess.out = wire.send_frame(sess.conn, msg_type, payload)
+    def _send(self, sess: _Session, data: bytes) -> None:
+        """Send ``data`` at once in one non-blocking write, or queue it behind
+        the bytes still unsent; what the socket does not take waits in
+        ``sess.out`` for ``_serve`` to flush."""
+        if not sess.out:
+            try:
+                data = data[sess.conn.send(data) :]
+            except BlockingIOError:
+                pass
+        sess.out += data
 
     def _admit_hello(self, scheme, n: int, exponents, factor_counts) -> None:
         """Refuse a HELLO over a limit, from its head and braid headers."""
@@ -349,9 +355,12 @@ class VerifierServer:
         # power's cache also holds them and their powers until 256 newer
         # (braid, exponent) pairs push them out. A peer that reads a challenge
         # and never answers costs one digest and at most one more challenge.
+        # Each step writes once, before its digest work: CHALLENGE 1 after
+        # HELLO, then VERDICT k with CHALLENGE k+1, then the last VERDICT.
         challenge = pub.scheme.challenge(pub, sampler, rng)
+        verdict = b""
         for round_index in range(self.rounds):
-            self._send(sess, wire.MSG_CHALLENGE, serialize(challenge.Y))
+            self._send(sess, verdict + wire.pack_frame(wire.MSG_CHALLENGE, serialize(challenge.Y)))
             expected = pub.scheme.expected_digest(pub, challenge)
             if round_index + 1 < self.rounds:
                 challenge = pub.scheme.challenge(pub, sampler, rng)
@@ -362,7 +371,8 @@ class VerifierServer:
                 raise FrameError(wire.ERR_BAD_LENGTH, f"response payload is {len(payload)} bytes")
             accepted = hmac.compare_digest(expected, payload)
             self._log(f"round {round_index + 1}/{self.rounds}: verdict={int(accepted)}")
-            self._send(sess, wire.MSG_VERDICT, wire.pack_verdict(accepted, round_index))
+            verdict = wire.pack_frame(wire.MSG_VERDICT, wire.pack_verdict(accepted, round_index))
+        self._send(sess, verdict)
 
 
 class ProverError(BraidAuthError):

@@ -29,7 +29,7 @@ from . import braid as braid_ops
 from . import permutations as perms
 from .braid import BraidWord, CanonicalForm, GeneratorLetter, equals, inverse, multiply, power
 from .errors import InvalidParameterError, SearchExhausted, check_int
-from .hashing import hash_braid
+from .hashing import DIGEST_SIZE, hash_braid
 from .protocol import (
     SCHEME_I,
     SCHEME_II,
@@ -260,7 +260,7 @@ def _make_responder(
     pub = keys.public
 
     if strategy == STRATEGY_RANDOM:
-        return (lambda Y, k: rng.randbytes(32)), "uniform 32-byte guesses"
+        return (lambda Y, k: rng.randbytes(DIGEST_SIZE)), "uniform 32-byte guesses"
 
     if strategy == STRATEGY_REPLAY:
         eavesdropped = run_session(keys, cfg, rng.spawn("eavesdrop"))

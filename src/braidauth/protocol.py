@@ -160,7 +160,7 @@ def _sample_key_braid(
     )
 
 
-def _check_exponent(name: str, value) -> int:
+def check_exponent(name: str, value) -> int:
     """A key exponent: at least 2, and under 2^32 to fit HELLO's 4-byte
     field. The floor is checked alone so that its refusal reads ">= 2"."""
     check_int(name, value, 2)
@@ -172,8 +172,8 @@ def keygen1(
 ) -> SchemeIKeyPair:
     """Scheme 1 keys: secrets a (lower block) and b (upper block), public
     X = a^r * b^s."""
-    _check_exponent("r", r)
-    _check_exponent("s", s_exp)
+    check_exponent("r", r)
+    check_exponent("s", s_exp)
     a = _sample_key_braid(cfg, rng, SubgroupSide.LOWER)
     b = _sample_key_braid(cfg, rng, SubgroupSide.UPPER)
     X = multiply(power(a, r), power(b, s_exp))
@@ -183,8 +183,8 @@ def keygen1(
 def keygen2(cfg: SamplerConfig, e: int, f: int, rng: DeterministicRng) -> SchemeIIKeyPair:
     """Scheme 2 keys: public base braid sampled from the whole group, secret a
     in the lower block, public X = a^e * base * a^f."""
-    _check_exponent("e", e)
-    _check_exponent("f", f)
+    check_exponent("e", e)
+    check_exponent("f", f)
     base = _sample_key_braid(cfg, rng, None)
     a = _sample_key_braid(cfg, rng, SubgroupSide.LOWER)
     X = multiply(multiply(power(a, e), base), power(a, f))
@@ -421,7 +421,7 @@ def parse_public_key(text: str) -> "SchemeIPublic | SchemeIIPublic":
     scheme = SCHEMES[number]
     n = _int_field(fields, "n")
     braids = [_braid_field(fields, name, n) for name in scheme.hello_braids]
-    exponents = [_check_exponent(name, _int_field(fields, name)) for name in scheme.exponent_names]
+    exponents = [check_exponent(name, _int_field(fields, name)) for name in scheme.exponent_names]
     return scheme.public_of(n, exponents, braids)
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import socket
 import struct
 
-from .errors import EncodingError, FrameError
-from .hashing import _HEADER, deserialize, serialize
-from .protocol import SCHEMES, SchemeIPublic, SchemeIIPublic
+from .errors import EncodingError, FrameError, InvalidParameterError
+from .hashing import deserialize, serialize, split_encoding
+from .protocol import SCHEMES, SchemeIPublic, SchemeIIPublic, check_exponent
 
 MSG_HELLO = 0x01
 MSG_CHALLENGE = 0x02
@@ -50,20 +50,9 @@ def pack_frame(msg_type: int, payload: bytes = b"") -> bytes:
     return _LEN.pack(len(payload) + 1) + bytes([msg_type]) + payload
 
 
-def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> bytes:
-    """Write one frame and return the bytes the socket did not take.
-
-    A blocking socket takes the whole frame. A non-blocking one takes what
-    fits in its send buffer; the caller sends the rest once it is writable.
-    """
-    frame = pack_frame(msg_type, payload)
-    if sock.gettimeout() != 0.0:
-        sock.sendall(frame)
-        return b""
-    try:
-        return frame[sock.send(frame) :]
-    except BlockingIOError:
-        return frame
+def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> None:
+    """Write one whole frame to a blocking socket."""
+    sock.sendall(pack_frame(msg_type, payload))
 
 
 def recv_frame(sock: socket.socket, buf: bytearray | None = None) -> tuple[int, bytes] | None:
@@ -106,21 +95,6 @@ def pack_hello(pub: "SchemeIPublic | SchemeIIPublic") -> bytes:
     return head + b"".join(serialize(x) for x in scheme.key_braids(pub))
 
 
-def _split_braid(blob: bytes, n: int) -> tuple[bytes, int, bytes]:
-    """Cut one self-delimiting braid encoding of ``n`` strands off the front
-    of ``blob``: the encoding, its factor count and the rest. No table is
-    decoded."""
-    if len(blob) < _HEADER.size:
-        raise FrameError(ERR_MALFORMED, "braid encoding truncated")
-    _magic, strands, _inf, count = _HEADER.unpack_from(blob)
-    if strands != n:
-        raise FrameError(ERR_MALFORMED, "strand count mismatch inside hello")
-    size = _HEADER.size + count * 2 * n
-    if len(blob) < size:
-        raise FrameError(ERR_MALFORMED, "braid encoding truncated")
-    return blob[:size], count, blob[size:]
-
-
 def unpack_hello(payload: bytes, admit=None) -> "SchemeIPublic | SchemeIIPublic":
     """Decode a HELLO into the public key it carries.
 
@@ -130,27 +104,28 @@ def unpack_hello(payload: bytes, admit=None) -> "SchemeIPublic | SchemeIIPublic"
     """
     if len(payload) < _HELLO_HEAD.size:
         raise FrameError(ERR_BAD_LENGTH, "hello payload too short")
-    number, n, exp1, exp2 = _HELLO_HEAD.unpack_from(payload)
+    number, n, *values = _HELLO_HEAD.unpack_from(payload)
     scheme = SCHEMES.get(number)
     if scheme is None:
         raise FrameError(ERR_MALFORMED, f"unknown scheme byte {number}")
-    if exp1 < 2 or exp2 < 2:
-        raise FrameError(ERR_MALFORMED, f"exponents must be >= 2, got {exp1}, {exp2}")
     rest = payload[_HELLO_HEAD.size :]
     blobs, counts = [], []
-    for _ in scheme.hello_braids:
-        blob, count, rest = _split_braid(rest, n)
-        blobs.append(blob)
-        counts.append(count)
-    if rest:
-        raise FrameError(ERR_MALFORMED, "trailing bytes after hello")
-    if admit is not None:
-        admit(scheme, n, (exp1, exp2), tuple(counts))
     try:
+        exponents = tuple(map(check_exponent, scheme.exponent_names, values))
+        for _ in scheme.hello_braids:
+            strands, count, blob, rest = split_encoding(rest)
+            if strands != n:
+                raise FrameError(ERR_MALFORMED, "strand count mismatch inside hello")
+            blobs.append(blob)
+            counts.append(count)
+        if rest:
+            raise FrameError(ERR_MALFORMED, "trailing bytes after hello")
+        if admit is not None:
+            admit(scheme, n, exponents, tuple(counts))
         braids = [deserialize(blob) for blob in blobs]
-    except EncodingError as exc:
-        raise FrameError(ERR_MALFORMED, f"bad braid in hello: {exc}") from exc
-    return scheme.public_of(n, (exp1, exp2), braids)
+    except (EncodingError, InvalidParameterError) as exc:
+        raise FrameError(ERR_MALFORMED, f"bad hello: {exc}") from exc
+    return scheme.public_of(n, exponents, braids)
 
 
 def pack_verdict(accept: bool, round_index: int) -> bytes:

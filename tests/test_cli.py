@@ -433,7 +433,9 @@ def test_module_entry_point_subprocess(tmp_path):
 
 
 def test_usage_error_exit_code():
+    # selftest refuses n=2: no key braid of 2 strands passes the hardness floor.
     for argv in (["keygen"], ["selftest", "--n", "4,x"], ["selftest", "--n", "1"],
+                 ["selftest", "--n", "3,2"],
                  ["keygen", "--out", "k", "--minlen", "3"],
                  ["attack", "--strategy", "random-digest"]):
         proc = subprocess.run(

@@ -6,7 +6,7 @@ import pytest
 import braidauth.braid as B
 import braidauth.permutations as perms
 from braidauth.errors import EncodingError, InvalidParameterError
-from braidauth.hashing import deserialize, hash_braid, serialize
+from braidauth.hashing import deserialize, hash_braid, serialize, split_encoding
 from conftest import random_braid_word
 
 # Digests of five fixed inputs, frozen at first computation; a change here is
@@ -61,24 +61,29 @@ def test_round_trip_random(rng):
 
 def test_deserialize_rejections():
     good = serialize(B.normalize(B.word(3, "s1 s1")))
+    bad_n = bytearray(good)
+    bad_n[4:6] = (1).to_bytes(2, "big")
 
-    with pytest.raises(EncodingError) as exc:
-        deserialize(b"XXXX" + good[4:])
-    assert exc.value.code == "bad-magic"
-
-    with pytest.raises(EncodingError) as exc:
-        deserialize(good[:10])
-    assert exc.value.code == "truncated"
+    # The header's refusals, from deserialize and from the header reader.
+    for reader in (deserialize, split_encoding):
+        for data, code in (
+            (b"XXXX" + good[4:], "bad-magic"),
+            (good[:10], "truncated"),  # inside the header
+            (good[:-1], "truncated"),  # inside the last table
+            (bytes(bad_n), "bad-strand-count"),
+        ):
+            with pytest.raises(EncodingError) as exc:
+                reader(data)
+            assert exc.value.code == code
 
     with pytest.raises(EncodingError) as exc:
         deserialize(good + b"\x00")
     assert exc.value.code == "trailing-data"
 
-    bad_n = bytearray(good)
-    bad_n[4:6] = (1).to_bytes(2, "big")
-    with pytest.raises(EncodingError) as exc:
-        deserialize(bytes(bad_n))
-    assert exc.value.code == "bad-strand-count"
+    # The header reader cuts concatenated encodings apart.
+    other = serialize(B.normalize(B.word(4, "s1 s2 s3 S1")))
+    assert split_encoding(good + other) == (3, 2, good, other)
+    assert split_encoding(other) == (4, 2, other, b"")
 
     # factor table [0, 0, 2] is not a bijection
     not_bij = bytearray(serialize(B.normalize(B.word(3, "s1"))))

@@ -105,6 +105,11 @@ def test_hello_rejects_garbage():
     with pytest.raises(FrameError) as exc:
         W.unpack_hello(blob[:11] + serialize(CanonicalForm(16, 0, ())))
     assert exc.value.code == W.ERR_MALFORMED
+    # An exponent under the key exponents' floor.
+    with pytest.raises(FrameError) as exc:
+        W.unpack_hello(blob[:3] + (1).to_bytes(4, "big") + blob[7:])
+    assert exc.value.code == W.ERR_MALFORMED
+    assert "r must be an int >= 2, got 1" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +253,56 @@ def test_over_limit_hello_is_refused_before_any_table_is_decoded(server, monkeyp
 
     monkeypatch.setattr(W, "deserialize", counting_deserialize)
     host, port = server.address
-    with socket.create_connection((host, port), timeout=10) as conn:
-        W.send_frame(conn, W.MSG_HELLO, struct.pack(">BHII", 1, n, 2, 2) + X)
-        assert W.recv_frame(conn) == (W.MSG_ERROR, bytes([W.ERR_PROTOCOL]))
+    # Over the key limit; then a braid with bad magic, refused from its header.
+    for braid, code in ((X, W.ERR_PROTOCOL), (b"XXXX" + X[4:], W.ERR_MALFORMED)):
+        with socket.create_connection((host, port), timeout=10) as conn:
+            W.send_frame(conn, W.MSG_HELLO, struct.pack(">BHII", 1, n, 2, 2) + braid)
+            assert W.recv_frame(conn) == (W.MSG_ERROR, bytes([code]))
     assert decoded == []
     assert all(v.accepted for v in run_prover(host, port, make_keys(1)))
 
 
-def test_session_sockets_send_without_nagle(server, monkeypatch):
-    sent = []
-    send_frame = W.send_frame
+def test_session_sockets_send_without_nagle(server):
+    host, port = server.address
+    keys = make_keys(1)
+    with socket.create_connection((host, port), timeout=10) as conn:
+        W.send_frame(conn, W.MSG_HELLO, W.pack_hello(keys.public))
+        assert W.recv_frame(conn)[0] == W.MSG_CHALLENGE
+        # The session now waits for RESPONSE 1, so its socket stays open.
+        accepted = [sess.conn for sess in list(server._sessions)]
+        assert len(accepted) == 1
+        assert all(c.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for c in accepted)
 
-    def recording_send_frame(conn, msg_type, payload):
-        sent.append((msg_type, conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)))
-        send_frame(conn, msg_type, payload)
 
-    monkeypatch.setattr(W, "send_frame", recording_send_frame)
+def test_each_session_step_is_one_write(server, monkeypatch):
+    # The verifier writes with socket.send, the prover with sendall.
+    writes = []
+    send = socket.socket.send
+
+    def recording_send(sock, data, *flags):
+        writes.append(bytes(data))
+        return send(sock, data, *flags)
+
+    monkeypatch.setattr(socket.socket, "send", recording_send)
     host, port = server.address
     assert all(v.accepted for v in run_prover(host, port, make_keys(1)))
-    # The prover writes HELLO and RESPONSE, the verifier CHALLENGE and VERDICT.
-    assert {t for t, _ in sent} == {W.MSG_HELLO, W.MSG_RESPONSE, W.MSG_CHALLENGE, W.MSG_VERDICT}
-    assert all(nodelay for _, nodelay in sent)
+
+    def frames(data):
+        out = []
+        while data:
+            (length,) = struct.unpack_from(">I", data)
+            out.append((data[4], data[5 : 4 + length]))
+            data = data[4 + length :]
+        return out
+
+    steps = [frames(w) for w in writes]
+    assert [[t for t, _ in step] for step in steps] == [
+        [W.MSG_CHALLENGE],
+        [W.MSG_VERDICT, W.MSG_CHALLENGE],
+        [W.MSG_VERDICT, W.MSG_CHALLENGE],
+        [W.MSG_VERDICT],
+    ]
+    assert [W.unpack_verdict(step[0][1]) for step in steps[1:]] == [(True, 0), (True, 1), (True, 2)]
 
 
 def test_wire_round_trip_of_recorded_session(server):
