@@ -245,24 +245,30 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 #
 # Pair rebalancing is the innermost operation of every product and identical
 # factor pairs recur constantly, so results are memoized, one row per left
-# factor: _PAIR_MEMO[a][b]. None means the pair was already left weighted. The
-# memo is cleared once it holds _PAIR_MEMO_BUDGET table entries, that is
-# _PAIR_MEMO_BUDGET // n pairs of n-strand tables, so it takes about the same
-# memory at every strand count: 2^17 pairs at n=8, 2^14 at n=64, 2^10 at
-# n=1024. Wide memos need no more pairs than that because their hits are
-# short range. At n=64/L=64 the median reuse distance is about 30 pair calls,
-# and a replayed pair trace hits 17.5% of calls with 2^14 pairs against 20.1%
-# with 2^17; at n=16/L=128, 37.3% with 2^16 against 37.6% with 2^17.
+# factor: _PAIR_MEMO[a][b]. None means the pair was already left weighted.
+# The memo is cleared once the weights of its pairs reach _PAIR_MEMO_BUDGET,
+# an n-strand pair weighing n * max(n, 8). So it keeps 2^17 pairs at n=8,
+# 2^15 at n=16 and 2^11 at n=64, and below n=8 the 2^20 // n pairs of a
+# budget of 2^20 table entries. Mixed widths share the one budget, so the
+# memo never holds more than 2^20 table entries in all. Wide pairs cost more
+# to keep and their hits are short range (median reuse distance about 30
+# pair calls at n=64/L=64). Replayed pair traces (clear-all memo) miss:
+#   pairs  n=8 verifier  n=16 L=128  n=32 L=64  n=64 L=64
+#   2^11        -          67.1%       83.9%      84.2%
+#   2^13        -          64.3%       83.2%      83.5%
+#   2^15      25.4%        63.0%       82.2%        -
+#   2^17      10.9%        62.3%       80.5%      80.6%
+# At n=64, 2^14 pairs took about 10 MB more peak RSS than 2^11.
 # The kernel's output tables are interned in _TABLE_POOL, so the memo and the
 # factor lists built from it share one tuple per distinct table, and later
 # lookups with those tables match keys by identity. The pool is emptied with
 # the memo. Threads share both without a lock: a racing insert may be
-# lost and the count may be off by a few, which costs at most a recomputation
-# or a clear a few pairs early or late.
+# lost and the weight may be off by a few pairs, which costs at most a
+# recomputation or a clear a few pairs early or late.
 _PAIR_MEMO: dict[PermTable, dict[PermTable, "tuple[PermTable, PermTable] | None"]] = {}
 _TABLE_POOL: dict[PermTable, PermTable] = {}
-_pair_memo_count = 0
-_PAIR_MEMO_BUDGET = 1 << 20
+_pair_memo_weight = 0
+_PAIR_MEMO_BUDGET = 1 << 23
 _MISS = object()
 
 
@@ -281,17 +287,18 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
     strand order is then built by inserting each x just after the strands
     above x that it does not reach.
     """
-    global _pair_memo_count
+    global _pair_memo_weight
     row = _PAIR_MEMO.get(a)
     if row is not None:
         cached = row.get(b, _MISS)
         if cached is not _MISS:
             return cached  # type: ignore[return-value]
     n = len(a)
-    if _pair_memo_count >= _PAIR_MEMO_BUDGET // n:
-        # Reset the count first: an insert another thread makes in between
+    weight = n * max(n, 8)
+    if _pair_memo_weight >= _PAIR_MEMO_BUDGET:
+        # Reset the weight first: an insert another thread makes in between
         # lands in the memo about to be cleared, not in the fresh one uncounted.
-        _pair_memo_count = 0
+        _pair_memo_weight = 0
         _PAIR_MEMO.clear()
         _TABLE_POOL.clear()
         row = None
@@ -337,7 +344,7 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
     if row is None:
         row = _PAIR_MEMO.setdefault(a, {})
     row[b] = result
-    _pair_memo_count += 1
+    _pair_memo_weight += weight
     return result
 
 

@@ -11,11 +11,9 @@ One thread serves every connection: ``serve_forever`` is a ``selectors``
 loop that accepts, reads frames, runs session steps and writes, all without
 blocking. Each session is a generator that yields where it waits for the
 peer's next frame; a step (expected digest plus next challenge) runs to
-completion before the loop serves anyone else. Sessions still share the
-engine caches (``braid._PAIR_MEMO`` and ``_TABLE_POOL``, ``power``'s cache and
-the ``flip``/``left_complement`` caches); those hold values that depend only
-on their arguments, so interleaved sessions give the outputs they would give
-alone.
+completion before the loop serves anyone else. Sessions share the engine's
+caches, which hold values that depend only on their arguments, so interleaved
+sessions give the outputs they would give alone.
 """
 
 from __future__ import annotations
@@ -44,14 +42,11 @@ from .sampling import SamplerConfig
 # factors):
 # - power loops once per unit of exponent, and its cost grows about
 #   quadratically with it;
-# - at 64 strands the pair memo and the flip and left_complement caches hold
-#   under about 80 MB: the pair memo clears at 16,384 pairs (8 MB in a
-#   measured n=64 run, at most about 40 MB if every pair held four tables of
-#   its own), and flip and left_complement keep at most 16,384 tables each,
-#   under 20 MB apiece. power's lru_cache is bounded by its 256 entries, not
-#   by bytes: at n=64 and exponent 64 an entry holds about 70-210 KB of
-#   tables, so on the order of 50 MB in all (arithmetic from measured factor
-#   counts, not a measured RSS);
+# - the pair memo holds at most 2^20 table entries however clients mix
+#   widths, 2,048 pairs at 64 strands (5 MB if each held four tables of its
+#   own); at 64 strands flip and left_complement keep 2,048 tables (2.5 MB
+#   each) and power 256 entries of 70-210 KB at exponent 64, about 50 MB (all
+#   arithmetic from table sizes and measured factor counts);
 # - 1024 factors bounds the size of X and of scheme 2's base, which every
 #   round multiplies in.
 # One thread runs every session's steps, so a session at all of these limits

@@ -444,32 +444,52 @@ def test_pair_kernel_matches_reference_random(rng):
             assert _kernel_cold(a, b) is None
 
 
-def test_pair_memo_is_bounded_by_table_entries(rng, monkeypatch):
-    def cap(n):
-        return B._PAIR_MEMO_BUDGET // n
+def _weight(n):
+    return n * max(n, 8)
 
-    assert cap(8) == 1 << 17 and cap(64) == 1 << 14
-    assert cap(256) == 1 << 12 and cap(1024) == 1 << 10
-    # A small budget shows the bound at n=256 without filling 2^12 pairs.
-    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", 256 * 40)
+
+def _cap(n):
+    return B._PAIR_MEMO_BUDGET // _weight(n)
+
+
+def test_pair_memo_is_bounded_by_table_entries(rng, monkeypatch):
+    assert _cap(8) == 1 << 17 and _cap(16) == 1 << 15
+    assert _cap(64) == 1 << 11 and _cap(256) == 1 << 7
+    # Below 8 strands a pair weighs as it did under a budget of 2^20 entries.
+    assert _cap(6) == (1 << 20) // 6
+    # A small budget shows the bound at n=256 without filling 2^7 pairs.
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(256) * 40)
     _fresh_pair_memo(monkeypatch)
     largest = 0
     for _ in range(6):
         B.normalize(random_braid_word(rng, 256, 48))
         largest = max(largest, _memo_pairs())
-        assert _memo_pairs() <= cap(256)
-        assert len(B._TABLE_POOL) <= 2 * cap(256)
+        assert _memo_pairs() <= _cap(256)
+        assert len(B._TABLE_POOL) <= 2 * _cap(256)
     assert largest > 20
+    # Widths share the one budget: their pairs' weights never sum past it.
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(64) * 16)
+    largest = 0
+    for n in (8, 64) * 3:
+        B.normalize(random_braid_word(rng, n, 48))
+        largest = max(largest, _memo_weight())
+        assert _memo_weight() == B._pair_memo_weight <= B._PAIR_MEMO_BUDGET
+    assert largest > B._PAIR_MEMO_BUDGET // 2
 
 
 def _fresh_pair_memo(monkeypatch):
     monkeypatch.setattr(B, "_PAIR_MEMO", {})
     monkeypatch.setattr(B, "_TABLE_POOL", {})
-    monkeypatch.setattr(B, "_pair_memo_count", 0)
+    monkeypatch.setattr(B, "_pair_memo_weight", 0)
 
 
 def _memo_pairs():
     return sum(len(row) for row in B._PAIR_MEMO.values())
+
+
+def _memo_weight(rows=None):
+    rows = B._PAIR_MEMO.items() if rows is None else rows
+    return sum(len(row) * _weight(len(a)) for a, row in rows)
 
 
 def test_equal_kernel_outputs_are_one_object(monkeypatch):
@@ -487,12 +507,13 @@ def test_equal_kernel_outputs_are_one_object(monkeypatch):
             # A memo hit hands back the stored tables themselves.
             assert B._rebalance_pair(a, b) is res
     assert max(len(pairs) for pairs in sources.values()) > 1
-    assert _memo_pairs() == B._pair_memo_count == 120 * 120
+    assert _memo_pairs() == 120 * 120
+    assert B._pair_memo_weight == 120 * 120 * _weight(5)
 
 
 def test_table_pool_is_emptied_with_the_memo(rng, monkeypatch):
     _fresh_pair_memo(monkeypatch)
-    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", 8 * 8)
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(8) * 8)
 
     def shuffled():
         table = list(range(8))
@@ -507,25 +528,31 @@ def test_table_pool_is_emptied_with_the_memo(rng, monkeypatch):
     *first, last = moved
     for a, b in first:
         B._rebalance_pair(a, b)
-    assert len(B._TABLE_POOL) > 2 and _memo_pairs() == B._pair_memo_count == 8
+    assert len(B._TABLE_POOL) > 2 and _memo_pairs() == 8
+    assert B._pair_memo_weight == B._PAIR_MEMO_BUDGET
     res = B._rebalance_pair(*last)
-    assert _memo_pairs() == B._pair_memo_count == 1
+    assert _memo_pairs() == 1 and B._pair_memo_weight == _weight(8)
     assert set(B._TABLE_POOL) == set(res)
 
 
 def test_shared_pair_memo_under_thread_switches(rng, monkeypatch):
     _fresh_pair_memo(monkeypatch)
-    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", 8 * 64)
-    words = [random_braid_word(rng, 8, 48) for _ in range(30)]
+    # 64 pairs at n=8 or 16 at n=16; two widths in flight fill it together.
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(8) * 64)
+    words = [random_braid_word(rng, n, 48) for _ in range(12) for n in (8, 16)]
     expected = [B.normalize(w) for w in words]
     wrong = []
+    errors = []
     largest = 0
 
     def work(offset):
-        for k in range(3 * len(words)):
-            i = (offset + 7 * k) % len(words)
-            if B.normalize(words[i]) != expected[i]:
-                wrong.append(i)
+        try:
+            for k in range(3 * len(words)):
+                i = (offset + 7 * k) % len(words)
+                if B.normalize(words[i]) != expected[i]:
+                    wrong.append(i)
+        except Exception as exc:  # a thread's error would otherwise go unseen
+            errors.append(repr(exc))
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -535,17 +562,20 @@ def test_shared_pair_memo_under_thread_switches(rng, monkeypatch):
             for t in threads:
                 t.start()
             while any(t.is_alive() for t in threads):
-                # list() and map(len) run without a thread switch in between.
-                largest = max(largest, sum(map(len, list(B._PAIR_MEMO.values()))))
+                # list() takes the rows without a thread switch; a row cleared
+                # while they are summed gains at most a pair per thread.
+                largest = max(largest, _memo_weight(list(B._PAIR_MEMO.items())))
                 threads[0].join(timeout=0.001)
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(switch)
-    assert wrong == []
-    # Threads that passed the limit check together may each add one pair.
-    assert 32 < largest <= 64 + len(threads)
+    assert errors == [] and wrong == []
+    # Threads that passed the limit check together may each add one pair, and
+    # so may each thread that still holds a row the clear dropped.
+    budget = B._PAIR_MEMO_BUDGET
+    assert budget // 2 < largest <= budget + 2 * len(threads) * _weight(16)
 
 
 # ---------------------------------------------------------------------------
