@@ -232,24 +232,30 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 # The left-weighting engine
 # ---------------------------------------------------------------------------
 
-# One engine left-weights everything: _weld joins two left-weighted factor
-# sequences by rebalancing adjacent pairs. multiply welds its operands, and
-# normalize welds a word's pieces on one at a time; inverse needs no
-# rebalancing. A pair (A, B) is rebalanced in one step, to (A M, M^-1 B) with
-# M the meet of the right complement of A and B: the largest permutation braid
-# that A can absorb from the front of B (El-Rifai and Morton 1994; Epstein et
-# al., Word Processing in Groups, ch. 9). The meet is computed on strand orders,
-# never one generator at a time. Every form the engine returns is left weighted
-# by this construction, so it is built with _form and not validated again; the
-# tests and selftest run validate_canonical_form on those outputs as a referee.
+# One engine left-weights everything: _push slides factors one at a time
+# into a left canonical form from the front. multiply pushes a's factors onto
+# b's form, and normalize pushes a word's runs onto the identity; inverse
+# needs no rebalancing. A pair (A, B) is rebalanced in one step, to
+# (A M, M^-1 B) with M the meet of the right complement of A and B: the
+# largest permutation braid that A can absorb from the front of B. One
+# forward pass of such steps left-weights a factor followed by a left-weighted
+# sequence, and a half twist can form only at its front (El-Rifai and Morton
+# 1994; Epstein et al., Word Processing in Groups, ch. 9). So no pair is
+# combed twice, and no twist or identity walks along the form. normalize
+# packs commuting letters into few runs: at n=64 a 64-letter word makes about
+# 10 runs, where runs broken at every sign change would make 33. The meet
+# is computed on strand orders, never one generator at a time. Every form the
+# engine returns is left weighted by this construction, so it is built with
+# _form and not validated again; the tests and selftest run
+# validate_canonical_form on those outputs as a referee.
 #
 # Pair rebalancing is the innermost operation of every product and identical
 # factor pairs recur constantly, so results are memoized, one row per left
 # factor: _PAIR_MEMO[a][b]. None means the pair was already left weighted.
-# The memo is cleared once the weights of its pairs reach _PAIR_MEMO_BUDGET,
-# an n-strand pair weighing n * max(n, 8). So it keeps 2^17 pairs at n=8,
-# 2^15 at n=16 and 2^11 at n=64, and below n=8 the 2^20 // n pairs of a
-# budget of 2^20 table entries. Mixed widths share the one budget, so the
+# The memo is cleared before an insert would take the weights of its pairs
+# past _PAIR_MEMO_BUDGET, an n-strand pair weighing n * max(n, 8). So it
+# keeps 2^17 pairs at n=8, 2^15 at n=16 and 2^11 at n=64, and below n=8 the
+# 2^20 // n pairs of a budget of 2^20 table entries. Mixed widths share the one budget, so the
 # memo never holds more than 2^20 table entries in all. Wide pairs cost more
 # to keep and their hits are short range (median reuse distance about 30
 # pair calls at n=64/L=64). Replayed pair traces (clear-all memo) miss:
@@ -295,7 +301,7 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
             return cached  # type: ignore[return-value]
     n = len(a)
     weight = n * max(n, 8)
-    if _pair_memo_weight >= _PAIR_MEMO_BUDGET:
+    if _pair_memo_weight + weight > _PAIR_MEMO_BUDGET:
         # Reset the weight first: an insert another thread makes in between
         # lands in the memo about to be cleared, not in the fresh one uncounted.
         _pair_memo_weight = 0
@@ -348,136 +354,125 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
     return result
 
 
-def _strip(n: int, factors: list[PermTable]) -> tuple[int, tuple[PermTable, ...]]:
-    """Drop leading half twists and trailing identities from a pairwise
-    left-weighted sequence (the only places they can sit)."""
+def _push(
+    n: int, acc: int, pieces: Sequence[tuple[int, PermTable]], factors: list[PermTable]
+) -> tuple[int, tuple[PermTable, ...]]:
+    """Left-multiply ``twist^acc * factors``, a left canonical form held as
+    its half-twist power and factor list, by the product of pieces
+    ``twist^shift * factor``, and return the product's power and factors.
+
+    Pieces go on from the last. Each factor crosses the twists in front of
+    the list, and is flipped if they are odd in number, then slides forward
+    through the list. It stops at the first pair that is already left
+    weighted, or vanishes once what it carries is the identity. A half twist
+    can form only at the front, where it joins the power.
+    """
     id_table = perms.identity(n)
-    twist_table = perms.reversal(n)
-    lo, hi = 0, len(factors)
-    while lo < hi and factors[lo] == twist_table:
-        lo += 1
-    while lo < hi and factors[hi - 1] == id_table:
-        hi -= 1
-    return lo, tuple(factors[lo:hi])
-
-
-def _weld(n: int, factors: list[PermTable], junction: int) -> tuple[int, tuple[PermTable, ...]]:
-    """Left-weight the concatenation of two sequences that are each already
-    left weighted, joined at ``junction``.
-
-    One forward sweep from the junction, combing backward after each change,
-    restores the invariant: a pair that needs no move leaves everything to its
-    right untouched.
-    """
-    for i in range(max(junction - 1, 0), len(factors) - 1):
-        res = _rebalance_pair(factors[i], factors[i + 1])
-        if res is None:
-            break
-        factors[i], factors[i + 1] = res
-        for k in range(i - 1, -1, -1):
-            res = _rebalance_pair(factors[k], factors[k + 1])
-            if res is None:
-                break
-            factors[k], factors[k + 1] = res
-    return _strip(n, factors)
-
-
-def _twists_to_front(
-    acc: int, pieces: Sequence[tuple[int, PermTable]]
-) -> tuple[int, list[PermTable]]:
-    """Rewrite the product of pieces ``twist^shift * factor``, followed by
-    ``twist^acc``, as one half-twist power and a factor list.
-
-    A factor crossed by an odd number of twists on their way to the front is
-    flipped.
-    """
-    factors: list[PermTable] = []
+    twist = perms.reversal(n)
     for shift, f in reversed(pieces):
-        factors.append(perms.flip(f) if acc & 1 else f)
+        if acc & 1:
+            f = perms.flip(f)
         acc += shift
-    factors.reverse()
-    return acc, factors
-
-
-def _run_piece(sign: int, run: list[int]) -> tuple[int, PermTable]:
-    """The piece ``twist^shift * factor`` of a same-sign run held as in
-    :func:`normalize`. The left complement of a table is its inverse read
-    backwards."""
-    inv = perms.inverse(run)
-    return (0, inv) if sign > 0 else (-1, inv[::-1])
+        if f == twist:
+            acc += 1
+            continue
+        i = 0
+        while f != id_table:
+            if i == len(factors):
+                factors.append(f)
+                break
+            res = _rebalance_pair(f, factors[i])
+            if res is None:
+                factors.insert(i, f)
+                break
+            left, f = res
+            if i == 0 and left == twist:
+                acc += 1
+                del factors[0]
+            else:
+                factors[i] = left
+                i += 1
+    return acc, tuple(factors)
 
 
 def normalize(w: BraidWord) -> CanonicalForm:
     """The unique left canonical form of a word.
 
-    Each maximal run of same-sign letters whose product is a permutation braid
-    becomes one piece. A positive run is its permutation factor. A negative
-    run is the inverse of its mirror (the run's generators in reverse order),
-    so it becomes a negative half twist followed by the mirror's left
-    complement. Half twists migrate to the front through the index-flip
-    automorphism, then the factors are welded one at a time onto a
-    left-weighted prefix.
+    Letters are packed into runs of one sign whose products are permutation
+    braids. A letter joins the earliest run of its sign that it reaches by
+    commuting past every later run (generator indices 2 or more apart) and
+    that still admits it; otherwise it opens a new run. A positive run is one
+    factor. A negative run is the inverse of its mirror (its generators in
+    reverse order): a negative half twist followed by the mirror's left
+    complement, which is the mirror's inverse table read backwards. The runs
+    are then pushed onto the identity.
     """
     n = w.n
-    pieces = []
     # A positive run is held as its inverse table and grows at its end while
     # the two strands it swaps are still in order there; a negative run's
     # mirror is held as its table and grows at its front on the same test.
-    run: list[int] = []
-    run_sign = 0
+    # Bit k of a run's mask is set when the run uses generator k, and a letter
+    # of generator k passes a run whose bits k-1, k and k+1 are all clear.
+    runs: list[list] = []
     for index, sign in w.letters:
         i = index - 1
-        if sign != run_sign or run[i] > run[i + 1]:
-            if run_sign:
-                pieces.append(_run_piece(run_sign, run))
-            run, run_sign = list(range(n)), sign
-        run[i], run[i + 1] = run[i + 1], run[i]
-    if run_sign:
-        pieces.append(_run_piece(run_sign, run))
-    inf, factors = _twists_to_front(0, pieces)
-    prefix: list[PermTable] = []
-    for f in factors:
-        prefix.append(f)
-        absorbed, weighted = _weld(n, prefix, len(prefix) - 1)
-        inf += absorbed
-        prefix = list(weighted)
-    return _form(n, inf, tuple(prefix))
+        home = None
+        for run in reversed(runs):
+            if run[0] == sign and run[2][i] < run[2][i + 1]:
+                home = run
+            if run[1] >> i & 7:
+                break
+        if home is None:
+            home = [sign, 0, list(range(n))]
+            runs.append(home)
+        table = home[2]
+        table[i], table[i + 1] = table[i + 1], table[i]
+        home[1] |= 1 << index
+    pieces = []
+    for sign, _, table in runs:
+        inv = perms.inverse(table)
+        pieces.append((0, inv) if sign > 0 else (-1, inv[::-1]))
+    return _form(n, *_push(n, 0, pieces, []))
 
 
 def multiply(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
-    """Canonical form of the concatenation ``a`` then ``b``."""
+    """Canonical form of the concatenation ``a`` then ``b``: a's factors are
+    pushed onto b's form."""
     if a.n != b.n:
         raise InvalidParameterError(f"strand counts differ: {a.n} vs {b.n}")
-    inf = a.inf + b.inf
-    odd = b.inf & 1
-    if not a.factors:
-        return _form(a.n, inf, b.factors)
     if not b.factors:
-        twisted = tuple(perms.flip(f) for f in a.factors) if odd else a.factors
-        return _form(a.n, inf, twisted)
-    factors = [perms.flip(f) for f in a.factors] if odd else list(a.factors)
-    junction = len(factors)
-    factors.extend(b.factors)
-    absorbed, weighted = _weld(a.n, factors, junction)
-    return _form(a.n, inf + absorbed, weighted)
+        twisted = tuple(perms.flip(f) for f in a.factors) if b.inf & 1 else a.factors
+        return _form(a.n, a.inf + b.inf, twisted)
+    inf, factors = _push(a.n, b.inf, [(0, f) for f in a.factors], list(b.factors))
+    return _form(a.n, a.inf + inf, factors)
 
 
 def inverse(x: CanonicalForm) -> CanonicalForm:
     """The group inverse.
 
     Each factor inverts to a negative half twist followed by its complement.
-    Once the twists are at the front, the reversed complements are already
-    left weighted and contain neither identities nor half twists, so no
-    rebalancing is needed (El-Rifai and Morton 1994).
+    Moving the twists to the front flips each complement that an odd number
+    of them cross. The reversed complements are then already left weighted
+    and contain neither identities nor half twists, so no rebalancing is
+    needed (El-Rifai and Morton 1994).
     """
-    pieces = [(-1, perms.left_complement(f)) for f in reversed(x.factors)]
-    inf, factors = _twists_to_front(-x.inf, pieces)
+    inf = -x.inf
+    factors: list[PermTable] = []
+    for f in x.factors:
+        c = perms.left_complement(f)
+        factors.append(perms.flip(c) if inf & 1 else c)
+        inf -= 1
+    factors.reverse()
     return _form(x.n, inf, tuple(factors))
 
 
 @functools.lru_cache(maxsize=256)
 def power(x: CanonicalForm, e: int) -> CanonicalForm:
     """The e-fold product, e >= 0. Use :func:`inverse` first for negative powers.
+
+    Square and multiply: each set bit of e pushes the square x^(2^k) onto
+    the result, and each further bit squares once. So e = 64 takes 7
+    products, and exponents 1 to 3 take e.
 
     Cached: protocol rounds raise the same braid to the same small exponent on
     both sides of the exchange. The cache keeps the 256 most recently used
@@ -487,8 +482,12 @@ def power(x: CanonicalForm, e: int) -> CanonicalForm:
     """
     check_int("exponent", e, 0)
     acc = _form(x.n, 0, ())
-    for _ in range(e):
-        acc = multiply(acc, x)
+    while e:
+        if e & 1:
+            acc = multiply(x, acc)
+        e >>= 1
+        if e:
+            x = multiply(x, x)
     return acc
 
 

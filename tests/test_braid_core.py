@@ -183,13 +183,28 @@ def test_power_examples():
         B.power(x, -1)
 
 
-def test_power_matches_repeated_multiply(rng):
-    for n in (3, 6):
-        for _ in range(10):
-            x = B.normalize(random_braid_word(rng, n, 6))
+def test_power_matches_repeated_multiply(rng, monkeypatch):
+    products = []
+    real = B.multiply
+
+    def counting(a, b):
+        products.append(None)
+        return real(a, b)
+
+    for n in (3, 6, 8):
+        bases = [B.normalize(random_braid_word(rng, n, 6)) for _ in range(10)]
+        for x in bases + [B.delta(n), B.inverse(B.delta(n))]:
             acc = B.identity(n)
-            for e in range(5):
-                assert B.power(x, e) == acc
+            for e in range(65):
+                if e in (0, 1, 2, 3, 4, 5, 8, 64):
+                    assert B.power(x, e) == acc
+                    with monkeypatch.context() as m:
+                        m.setattr(B, "multiply", counting)
+                        products.clear()
+                        assert B.power.__wrapped__(x, e) == acc
+                    # Square and multiply: one product per set bit of e and
+                    # one square per further bit.
+                    assert len(products) == max(e.bit_length() + e.bit_count() - 1, 0)
                 acc = B.multiply(acc, x)
 
 
@@ -305,9 +320,10 @@ def test_normalize_of_concatenation_is_the_product(rng):
 
 
 def _single_letter_fold(w):
+    # From the last letter, so each product pushes one generator.
     acc = B.identity(w.n)
-    for index, sign in w.letters:
-        acc = B.multiply(acc, B.generator(w.n, index, sign))
+    for index, sign in reversed(w.letters):
+        acc = B.multiply(B.generator(w.n, index, sign), acc)
     return acc
 
 
@@ -338,17 +354,49 @@ def test_normalize_of_long_same_sign_runs(rng):
     assert B.normalize(B.BraidWord(5, B.delta_word(5).letters * 2)) == B.CanonicalForm(5, 2, ())
 
 
-def test_reexpansion_of_negative_twists_is_cheap(rng, monkeypatch):
-    # Each half twist of to_braidword is one run, and each factor's word is
-    # one more, so re-normalizing welds one piece per factor and per twist.
+def _count_pairs(monkeypatch):
+    """Record every pair the engine rebalances from now on."""
     calls = []
     real = B._rebalance_pair
 
     def counting(a, b):
-        calls.append(None)
+        calls.append((a, b))
         return real(a, b)
 
     monkeypatch.setattr(B, "_rebalance_pair", counting)
+    return calls
+
+
+def test_normalize_packs_far_apart_letters(rng):
+    # Letters mostly on a comb of generators at least 2 apart, of both signs,
+    # pack into few runs; a few letters anywhere stop the packing, and a whole
+    # half twist of either sign, put into every other word, is a run of its own.
+    for n, count in ((8, 16), (16, 10), (64, 4)):
+        delta = B.delta_word(n).letters
+        delta_inv = tuple(B.GeneratorLetter(i, -1) for i, _ in reversed(delta))
+        for k in range(count):
+            comb = range(rng.randrange(1, 4), n, rng.choice((2, 3, 5)))
+            letters = [
+                B.GeneratorLetter(
+                    rng.choice(comb) if rng.random() < 0.85 else rng.randrange(1, n),
+                    rng.choice((1, -1)),
+                )
+                for _ in range(rng.randrange(4, 2 * n))
+            ]
+            if k % 2:
+                cut = rng.randrange(len(letters) + 1)
+                letters[cut:cut] = rng.choice((delta, delta_inv))
+            w = B.BraidWord(n, tuple(letters))
+            x = B.normalize(w)
+            B.validate_canonical_form(n, x.inf, x.factors)
+            assert x == _single_letter_fold(w)
+
+
+def test_reexpansion_of_negative_twists_is_cheap(rng, monkeypatch):
+    # Each half twist of to_braidword is one run, and each factor's word is
+    # one more, so re-normalizing pushes one piece per factor and per twist,
+    # and each piece stops at its first pair.
+    calls = _count_pairs(monkeypatch)
     n = 64
     for shift in (2, 3, 5):
         y = B.normalize(random_braid_word(rng, n, 64))
@@ -357,6 +405,34 @@ def test_reexpansion_of_negative_twists_is_cheap(rng, monkeypatch):
         calls.clear()
         assert B.normalize(B.to_braidword(x)) == x
         assert len(calls) <= len(x.factors) + abs(x.inf)
+
+
+def test_pairs_never_carry_a_twist_or_an_identity(rng, monkeypatch):
+    # Pushed from the front, a half twist forms only at the front, where it
+    # joins the power, and an identity is dropped as soon as it is carried,
+    # so neither walks along the form one pair call at a time.
+    calls = _count_pairs(monkeypatch)
+    for n, length in ((8, 16), (16, 64), (64, 64)):
+        one, twist = perms.identity(n), perms.reversal(n)
+        for _ in range(4):
+            x = B.normalize(random_braid_word(rng, n, length))
+            y = B.normalize(random_braid_word(rng, n, length))
+            for a, b in ((x, y), (B.inverse(x), y), (x, B.inverse(y))):
+                B.multiply(a, b)
+    assert len(calls) > 1000
+    assert not [(a, b) for a, b in calls if a == one or b == twist]
+
+
+def test_far_apart_letters_make_few_pieces(monkeypatch):
+    # s1 S4 s7 ... s61: every letter commutes with every other one, so the
+    # word packs into one positive and one negative run, one pair call.
+    n = 64
+    letters = tuple(B.GeneratorLetter(i, (-1) ** k) for k, i in enumerate(range(1, 62, 3)))
+    w = B.BraidWord(n, letters)
+    expected = _single_letter_fold(w)
+    calls = _count_pairs(monkeypatch)
+    assert B.normalize(w) == expected
+    assert len(calls) <= 1
 
 
 def test_torsion_freeness_spot_check(rng):
@@ -475,6 +551,22 @@ def test_pair_memo_is_bounded_by_table_entries(rng, monkeypatch):
         largest = max(largest, _memo_weight())
         assert _memo_weight() == B._pair_memo_weight <= B._PAIR_MEMO_BUDGET
     assert largest > B._PAIR_MEMO_BUDGET // 2
+
+
+def test_pair_memo_clears_before_an_insert_would_pass_the_budget(rng, monkeypatch):
+    # 1,023 pairs at n=8 weigh 65,472 of a 16-pair n=64 budget (65,536); one
+    # n=64 pair more would take the memo to 69,568, so it clears first.
+    _fresh_pair_memo(monkeypatch)
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(64) * 16)
+    tables = list(itertools.permutations(range(8)))
+    for k in range(1023):
+        B._rebalance_pair(tables[k], tables[-1 - k])
+    assert B._pair_memo_weight == 65472 == _memo_weight()
+    wide = list(range(64))
+    rng.shuffle(wide)
+    B._rebalance_pair(perms.reversal(64), tuple(wide))
+    assert B._pair_memo_weight == _weight(64) == _memo_weight() <= B._PAIR_MEMO_BUDGET
+    assert _memo_pairs() == 1
 
 
 def _fresh_pair_memo(monkeypatch):
