@@ -249,36 +249,65 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 # _form and not validated again; the tests and selftest run
 # validate_canonical_form on those outputs as a referee.
 #
-# Pair rebalancing is the innermost operation of every product and identical
-# factor pairs recur constantly, so results are memoized, one row per left
-# factor: _PAIR_MEMO[a][b]. None means the pair was already left weighted.
-# The memo is cleared before an insert would take the weights of its pairs
-# past _PAIR_MEMO_BUDGET, an n-strand pair weighing n * max(n, 8). So it
-# keeps 2^17 pairs at n=8, 2^15 at n=16 and 2^11 at n=64, and below n=8 the
-# 2^20 // n pairs of a budget of 2^20 table entries. Mixed widths share the one budget, so the
-# memo never holds more than 2^20 table entries in all. Wide pairs cost more
-# to keep and their hits are short range (median reuse distance about 30
-# pair calls at n=64/L=64). Replayed pair traces (clear-all memo) miss:
-#   pairs  n=8 verifier  n=16 L=128  n=32 L=64  n=64 L=64
-#   2^11        -          67.1%       83.9%      84.2%
-#   2^13        -          64.3%       83.2%      83.5%
-#   2^15      25.4%        63.0%       82.2%        -
-#   2^17      10.9%        62.3%       80.5%      80.6%
-# At n=64, 2^14 pairs took about 10 MB more peak RSS than 2^11.
-# The kernel's output tables are interned in _TABLE_POOL, so the memo and the
-# factor lists built from it share one tuple per distinct table, and later
-# lookups with those tables match keys by identity. The pool is emptied with
-# the memo. Threads share both without a lock: a racing insert may be
-# lost and the weight may be off by a few pairs, which costs at most a
-# recomputation or a clear a few pairs early or late.
+# Pair rebalancing is the innermost operation of every product, and at
+# narrow widths identical factor pairs recur constantly, so pairs on at most
+# _MEMO_STRANDS strands are memoized, one row per left factor:
+# _PAIR_MEMO[a][b]. None means the pair was already left weighted. Wider
+# pairs go straight to _meet. Skipping the memo, interleaved in one process
+# with identical outputs, made n=8 verifier rounds 3.2x slower and n=10
+# rounds 1.28x slower; it was neutral at n=12 (0.96x) and n=16 (0.95-0.98x)
+# and faster at n=32/L=64 (0.89x) and n=64/L=64 (0.97x), where hits are rare
+# and short range. So wide sessions neither fill the memo nor clear it. The
+# memo is cleared before an insert would take the weights of its pairs past
+# _PAIR_MEMO_BUDGET, an n-strand pair weighing n * max(n, 8). So it keeps
+# 2^17 pairs at n=8 and 2^15 at n=16, and below n=8 the 2^20 // n pairs of a
+# budget of 2^20 table entries; it never holds more than 2^20 table entries
+# in all. The kernel's outputs for memoized pairs are interned in
+# _TABLE_POOL, so the memo and the factor lists built from it share one tuple
+# per distinct table, and later lookups with those tables match keys by
+# identity. The pool is emptied with the memo. Threads share both without a
+# lock: a racing insert may be lost and the weight may be off by a few pairs,
+# which costs at most a recomputation or a clear a few pairs early or late.
 _PAIR_MEMO: dict[PermTable, dict[PermTable, "tuple[PermTable, PermTable] | None"]] = {}
 _TABLE_POOL: dict[PermTable, PermTable] = {}
 _pair_memo_weight = 0
 _PAIR_MEMO_BUDGET = 1 << 23
+_MEMO_STRANDS = 16
 _MISS = object()
 
 
 def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] | None":
+    """:func:`_meet`, memoized for pairs on at most ``_MEMO_STRANDS`` strands."""
+    global _pair_memo_weight
+    row = _PAIR_MEMO.get(a)
+    if row is not None:
+        cached = row.get(b, _MISS)
+        if cached is not _MISS:
+            return cached  # type: ignore[return-value]
+    n = len(a)
+    if n > _MEMO_STRANDS:
+        return _meet(a, b)
+    weight = n * max(n, 8)
+    if _pair_memo_weight + weight > _PAIR_MEMO_BUDGET:
+        # Reset the weight first: an insert another thread makes in between
+        # lands in the memo about to be cleared, not in the fresh one uncounted.
+        _pair_memo_weight = 0
+        _PAIR_MEMO.clear()
+        _TABLE_POOL.clear()
+        row = None
+    result = _meet(a, b)
+    if result is not None:
+        am, mb = result
+        pool = _TABLE_POOL
+        result = (pool.setdefault(am, am), pool.setdefault(mb, mb))
+    if row is None:
+        row = _PAIR_MEMO.setdefault(a, {})
+    row[b] = result
+    _pair_memo_weight += weight
+    return result
+
+
+def _meet(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] | None":
     """Left-weight the pair (a, b): return (a M, M^-1 b) for M = ∂a ∧ b, or
     None when M is the identity, that is when the pair is already left weighted.
 
@@ -293,21 +322,7 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
     strand order is then built by inserting each x just after the strands
     above x that it does not reach.
     """
-    global _pair_memo_weight
-    row = _PAIR_MEMO.get(a)
-    if row is not None:
-        cached = row.get(b, _MISS)
-        if cached is not _MISS:
-            return cached  # type: ignore[return-value]
     n = len(a)
-    weight = n * max(n, 8)
-    if _pair_memo_weight + weight > _PAIR_MEMO_BUDGET:
-        # Reset the weight first: an insert another thread makes in between
-        # lands in the memo about to be cleared, not in the fresh one uncounted.
-        _pair_memo_weight = 0
-        _PAIR_MEMO.clear()
-        _TABLE_POOL.clear()
-        row = None
     reach = [0] * n
     # ∂a keeps x = a[s] before every a[s'] with s' < s.
     seen = 0
@@ -336,22 +351,13 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
         k = n - x - r.bit_count()
         moved |= k
         order.insert(k, x)
-    if moved:
-        m = b_inv
-        for k, x in enumerate(order):
-            m[x] = k
-        # With n >= 2 keys, itemgetter returns the gathered tuple.
-        am = itemgetter(*a)(m)
-        mb = itemgetter(*order)(b)
-        pool = _TABLE_POOL
-        result = (pool.setdefault(am, am), pool.setdefault(mb, mb))
-    else:
-        result = None
-    if row is None:
-        row = _PAIR_MEMO.setdefault(a, {})
-    row[b] = result
-    _pair_memo_weight += weight
-    return result
+    if not moved:
+        return None
+    m = b_inv
+    for k, x in enumerate(order):
+        m[x] = k
+    # With n >= 2 keys, itemgetter returns the gathered tuple.
+    return itemgetter(*a)(m), itemgetter(*order)(b)
 
 
 def _push(

@@ -42,11 +42,11 @@ from .sampling import SamplerConfig
 # factors):
 # - power loops once per unit of exponent, and its cost grows about
 #   quadratically with it;
-# - the pair memo holds at most 2^20 table entries however clients mix
-#   widths, 2,048 pairs at 64 strands (5 MB if each held four tables of its
-#   own); at 64 strands flip and left_complement keep 2,048 tables (2.5 MB
-#   each) and power 256 entries of 70-210 KB at exponent 64, about 50 MB (all
-#   arithmetic from table sizes and measured factor counts);
+# - the pair memo holds at most 2^20 table entries, all of pairs on at most
+#   16 strands, so wider sessions add nothing to it; at 64 strands flip keeps
+#   256 tables (0.3 MB), left_complement 2,048 (2.5 MB) and power 256 entries
+#   of 70-210 KB at exponent 64, about 50 MB (all arithmetic from table sizes
+#   and measured factor counts);
 # - 1024 factors bounds the size of X and of scheme 2's base, which every
 #   round multiplies in.
 # One thread runs every session's steps, so a session at all of these limits

@@ -32,18 +32,9 @@ def identity(n: int) -> PermTable:
     return tuple(range(n))
 
 
-def is_identity(table: Sequence[int]) -> bool:
-    return all(table[i] == i for i in range(len(table)))
-
-
 def reversal(n: int) -> PermTable:
     """The order-reversing permutation i -> n-1-i, the permutation of the half twist."""
     return tuple(range(n - 1, -1, -1))
-
-
-def is_reversal(table: Sequence[int]) -> bool:
-    n = len(table)
-    return all(table[i] == n - 1 - i for i in range(n))
 
 
 def inverse(table: Sequence[int]) -> PermTable:
@@ -58,12 +49,6 @@ def compose(p: Sequence[int], q: Sequence[int]) -> PermTable:
     return tuple(q[v] for v in p)
 
 
-def descent_set(table: Sequence[int]) -> frozenset[int]:
-    """Indices i with table[i] > table[i+1]; the generators dividing the factor
-    on the left, shifted down by one."""
-    return frozenset(i for i in range(len(table) - 1) if table[i] > table[i + 1])
-
-
 def inversion_count(table: Sequence[int]) -> int:
     """Number of out-of-order pairs; the positive word length of the factor."""
     n = len(table)
@@ -71,12 +56,14 @@ def inversion_count(table: Sequence[int]) -> int:
 
 
 # Both caches are bounded by entry count, so their bytes grow with n: at n=64
-# a table and its key take about 1.2 KB, so a full cache holds 2.5 MB
-# (arithmetic). Their reuse is short range: at 2,048 tables, not 16,384, flip
-# misses 2.2 times per n=8 round, not 1.4, and hits 36% of n=64 calls, not 40%.
-# Only braid.inverse calls left_complement; selftest at n=4..64 fills 470
-# entries, under either cap, so its size there is a worst-case bound only.
-@functools.lru_cache(maxsize=2048)
+# a table and its key take about 1.2 KB, so 256 tables hold 0.3 MB and 2,048
+# hold 2.5 MB (arithmetic). flip's reuse is short range. In 10 s traced
+# benchmark runs (seed 1) at 256 tables, not 2,048, it hit 12% of the 44
+# calls of a local-n64 round, not 26%, and a tcp-n8 round (prover and
+# verifier together) missed 13 of 54.5 calls, not 2.8, each miss an 8-entry
+# tuple. Only braid.inverse calls left_complement; selftest at n=4..64 fills
+# 470 entries, under its cap, so its size there is a worst-case bound only.
+@functools.lru_cache(maxsize=256)
 def flip(table: PermTable) -> PermTable:
     """Conjugate by the reversal: the index-flip automorphism on factors."""
     n = len(table)
@@ -93,28 +80,3 @@ def left_complement(table: PermTable) -> PermTable:
     inv = inverse(table)
     n = len(table)
     return tuple(inv[n - 1 - x] for x in range(n))
-
-
-def descent_mask(table: Sequence[int]) -> int:
-    """Descent set packed into an int bitmask (bit i set iff i is a descent)."""
-    mask = 0
-    prev = table[0] if table else 0
-    for i in range(1, len(table)):
-        cur = table[i]
-        if prev > cur:
-            mask |= 1 << (i - 1)
-        prev = cur
-    return mask
-
-
-def inverse_descent_mask(table: Sequence[int]) -> int:
-    """Descent mask of the inverse permutation, without building it."""
-    n = len(table)
-    pos = [0] * n
-    for p, v in enumerate(table):
-        pos[v] = p
-    mask = 0
-    for i in range(n - 1):
-        if pos[i] > pos[i + 1]:
-            mask |= 1 << i
-    return mask

@@ -530,42 +530,61 @@ def _cap(n):
 
 def test_pair_memo_is_bounded_by_table_entries(rng, monkeypatch):
     assert _cap(8) == 1 << 17 and _cap(16) == 1 << 15
-    assert _cap(64) == 1 << 11 and _cap(256) == 1 << 7
     # Below 8 strands a pair weighs as it did under a budget of 2^20 entries.
     assert _cap(6) == (1 << 20) // 6
-    # A small budget shows the bound at n=256 without filling 2^7 pairs.
-    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(256) * 40)
+    # Pairs on more than 16 strands are neither memoized nor pooled.
     _fresh_pair_memo(monkeypatch)
-    largest = 0
+    calls = _count_pairs(monkeypatch)
     for _ in range(6):
         B.normalize(random_braid_word(rng, 256, 48))
-        largest = max(largest, _memo_pairs())
-        assert _memo_pairs() <= _cap(256)
-        assert len(B._TABLE_POOL) <= 2 * _cap(256)
-    assert largest > 20
+    assert len(calls) > 20
+    assert B._PAIR_MEMO == {} and B._TABLE_POOL == {} and B._pair_memo_weight == 0
     # Widths share the one budget: their pairs' weights never sum past it.
-    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(64) * 16)
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(16) * 16)
     largest = 0
-    for n in (8, 64) * 3:
+    for n in (8, 16) * 3:
         B.normalize(random_braid_word(rng, n, 48))
         largest = max(largest, _memo_weight())
         assert _memo_weight() == B._pair_memo_weight <= B._PAIR_MEMO_BUDGET
     assert largest > B._PAIR_MEMO_BUDGET // 2
 
 
-def test_pair_memo_clears_before_an_insert_would_pass_the_budget(rng, monkeypatch):
-    # 1,023 pairs at n=8 weigh 65,472 of a 16-pair n=64 budget (65,536); one
-    # n=64 pair more would take the memo to 69,568, so it clears first.
+def test_wide_pairs_leave_narrow_memo_rows_alone(rng, monkeypatch):
+    # 2^11 n=64 pairs would weigh the whole budget of 2^23 if they were kept.
     _fresh_pair_memo(monkeypatch)
-    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(64) * 16)
+    tables = list(itertools.permutations(range(8)))
+    for k in range(0, 40000, 40):
+        B._rebalance_pair(tables[k], tables[-1 - k])
+    rows = {a: dict(row) for a, row in B._PAIR_MEMO.items()}
+    weight = B._pair_memo_weight
+    assert weight == 1000 * _weight(8)
+    wide = list(range(64))
+    for _ in range(1 << 11):
+        rng.shuffle(wide)
+        a = tuple(wide)
+        rng.shuffle(wide)
+        B._rebalance_pair(a, tuple(wide))
+    assert B._PAIR_MEMO == rows and B._pair_memo_weight == weight
+    held = list(B._TABLE_POOL)
+    for a, row in B._PAIR_MEMO.items():
+        for b, res in row.items():
+            held += [a, b, *(res or ())]
+    assert max(len(t) for t in held) <= 16
+
+
+def test_pair_memo_clears_before_an_insert_would_pass_the_budget(rng, monkeypatch):
+    # 1,023 pairs at n=8 weigh 65,472 of a 256-pair n=16 budget (65,536); one
+    # n=16 pair more would take the memo to 65,728, so it clears first.
+    _fresh_pair_memo(monkeypatch)
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(16) * 256)
     tables = list(itertools.permutations(range(8)))
     for k in range(1023):
         B._rebalance_pair(tables[k], tables[-1 - k])
     assert B._pair_memo_weight == 65472 == _memo_weight()
-    wide = list(range(64))
+    wide = list(range(16))
     rng.shuffle(wide)
-    B._rebalance_pair(perms.reversal(64), tuple(wide))
-    assert B._pair_memo_weight == _weight(64) == _memo_weight() <= B._PAIR_MEMO_BUDGET
+    B._rebalance_pair(perms.reversal(16), tuple(wide))
+    assert B._pair_memo_weight == _weight(16) == _memo_weight() <= B._PAIR_MEMO_BUDGET
     assert _memo_pairs() == 1
 
 
