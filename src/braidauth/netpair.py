@@ -40,8 +40,10 @@ from .sampling import SamplerConfig
 # decoded. Each limit sits well above what the tests, demos, CLI and benchmark
 # send over TCP (n <= 16, small exponents, keys of at most a few hundred
 # factors):
-# - power loops once per unit of exponent, and its cost grows about
-#   quadratically with it;
+# - power squares and multiplies, so exponent 64 takes 7 products, but the
+#   last squares are of long forms and its cost still grows about
+#   quadratically with the exponent (a 9-factor n=8 braid: 1.7 ms at 32,
+#   6.3 ms at 64, with its cache cleared);
 # - the pair memo holds at most 2^20 table entries, all of pairs on at most
 #   16 strands, so wider sessions add nothing to it; at 64 strands flip keeps
 #   256 tables (0.3 MB), left_complement 2,048 (2.5 MB) and power 256 entries

@@ -9,15 +9,17 @@ candidate budget and fails loudly when it runs out.
 
 The impersonation experiments run full verifier sessions against a responder
 that holds no secret key: a uniform-digest guesser, a replayer of an
-eavesdropped session, a root-recovery attacker that searches the strand
-blocks for the secrets behind the public key and, when it finds them, plays
-the protocol honestly, and a strand splitter. The root attacker wins exactly
-when the root search is feasible. The splitter needs no root: scheme 1's
-X = a^r * b^s keeps its blocks apart, so its lower strands alone are a^r and
-its upper strands b^s, and it wins scheme 1 at every size. It fails against
-scheme 2, yet nothing makes scheme 2's base cross the blocks: on a weak key,
-where forget(X, lower) * forget(X, upper) = X, the honest answer
-a^e * Y * a^f is forget(X, lower) * forget(Y, upper).
+eavesdropped session, a root-recovery attacker that root-searches each strand
+block of the public key once for the secrets behind it and, when it finds
+them, plays the protocol honestly, and a strand splitter. The root attacker
+wins exactly when the root search is feasible: within 200,000 candidates it
+recovered 3 of 3 sampled n=8 keys with secrets of up to 7 letters, but at
+n=16 only those of 4 (the table in CHANGES.md). The splitter needs no root:
+scheme 1's X = a^r * b^s keeps its blocks apart, so its lower strands alone
+are a^r and its upper strands b^s, and it wins scheme 1 at every size. It
+fails against scheme 2, yet nothing makes scheme 2's base cross the blocks:
+on a weak key, where forget(X, lower) * forget(X, upper) = X, the honest
+answer a^e * Y * a^f is forget(X, lower) * forget(Y, upper).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable
 
 from . import braid as braid_ops
 from . import permutations as perms
-from .braid import BraidWord, CanonicalForm, GeneratorLetter, equals, inverse, multiply, power
+from .braid import BraidWord, CanonicalForm, GeneratorLetter, equals, multiply, power
 from .errors import InvalidParameterError, SearchExhausted, check_int
 from .hashing import DIGEST_SIZE, hash_braid
 from .protocol import (
@@ -77,7 +79,7 @@ def canonical_exponent_sum(x: CanonicalForm) -> int:
 
 
 class _Countdown:
-    """Shared candidate budget across nested searches."""
+    """One candidate budget, shared by the searches of one recovery."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -188,24 +190,25 @@ def report_text(rep: AttackReport) -> str:
 def recover_scheme1_secrets(
     pub, bound: int, *, max_candidates: int = DEFAULT_SEARCH_BUDGET
 ) -> "tuple[CanonicalForm, CanonicalForm] | None":
-    """Search the two strand blocks for (a', b') with a'^r * b'^s = X.
+    """Root-search each strand block once for (a', b') with a'^r * b'^s = X.
 
-    Enumerates lower-block candidates; for each, peels its power off X and
-    root-searches the residual over the upper block. Scheme 1 does not need
-    this search to fall: :func:`forget_strands` reads a^r and b^s off X
-    directly, and those powers are all a prover uses.
+    X's lower strands alone are a^r and its upper strands b^s
+    (:func:`forget_strands`), so each block is searched over its own
+    generators, the two under one candidate budget. A key that is not
+    block-split gives None. It wins on short secrets, up to 7 letters at n=8,
+    and exhausts its budget past the cliff that CHANGES.md tabulates. Scheme 1
+    does not need it to fall: the split attack plays a^r and b^s as they are.
     """
-    lower = lower_generator_indices(pub.n)
-    upper = upper_generator_indices(pub.n)
+    n, m = pub.n, pub.n // 2
     countdown = _Countdown(max_candidates)
-    for letters in iter_reduced_words(pub.n, bound, lower):
-        countdown.tick()
-        a = braid_ops.normalize(BraidWord(pub.n, letters))
-        residual = multiply(inverse(power(a, pub.r)), pub.X)
-        b = _root_search(residual, pub.s_exp, bound, upper, countdown, True)
-        if b is not None:
-            return a, b
-    return None
+    lower, upper = forget_strands(pub.X, range(m)), forget_strands(pub.X, range(m, n))
+    a = _root_search(lower, pub.r, bound, lower_generator_indices(n), countdown, True)
+    if a is None:
+        return None
+    b = _root_search(upper, pub.s_exp, bound, upper_generator_indices(n), countdown, True)
+    if b is None or not equals(multiply(power(a, pub.r), power(b, pub.s_exp)), pub.X):
+        return None
+    return a, b
 
 
 def recover_scheme2_secrets(

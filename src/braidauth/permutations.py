@@ -1,12 +1,9 @@
 """Permutation tables on {0, ..., n-1}, the factor type of canonical forms.
 
 A permutation is stored in word form: a tuple ``p`` with ``p[j]`` the image of
-``j``. Composition is read left to right throughout the package: ``compose(p, q)``
-applies ``p`` first and then ``q``, matching the order in which braid letters
-act on strand positions.
-
->>> compose((1, 0, 2), (0, 2, 1))
-(2, 0, 1)
+``j``. Composition is read left to right throughout the package: the product
+of ``p`` and ``q`` applies ``p`` first and then ``q``, matching the order in
+which braid letters act on strand positions.
 """
 
 from __future__ import annotations
@@ -42,11 +39,6 @@ def inverse(table: Sequence[int]) -> PermTable:
     for j, v in enumerate(table):
         inv[v] = j
     return tuple(inv)
-
-
-def compose(p: Sequence[int], q: Sequence[int]) -> PermTable:
-    """Apply ``p`` first, then ``q``."""
-    return tuple(q[v] for v in p)
 
 
 def inversion_count(table: Sequence[int]) -> int:

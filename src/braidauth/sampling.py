@@ -31,7 +31,8 @@ class SamplerConfig:
     """Parameters of the word sampler.
 
     ``word_length`` is the freely reduced letter count, ``min_canonical_length``
-    the acceptance floor for key material. The seed makes every run replayable.
+    the acceptance floor for key material. ``seed`` drives no draw: every
+    sampler takes an explicit ``DeterministicRng``, and the field is only echoed.
     """
 
     n: int

@@ -1,4 +1,4 @@
-"""Descent sets and permutation predicates that only the tests use.
+"""Composition, descent sets and permutation predicates that only the tests use.
 
 ``test_hashing``'s left-weightedness referee reads fuzzed forms with these,
 apart from ``braid.validate_canonical_form``, which computes its descents
@@ -8,6 +8,11 @@ inline.
 from __future__ import annotations
 
 from typing import Sequence
+
+
+def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Apply ``p`` first, then ``q``."""
+    return tuple(q[v] for v in p)
 
 
 def is_identity(table: Sequence[int]) -> bool:

@@ -153,13 +153,26 @@ def toy_keys():
     return P.keygen1(cfg, 2, 2, DeterministicRng(5, "kg")), cfg
 
 
-def test_root_attack_breaks_toy_parameters():
-    keys, cfg = toy_keys()
+@pytest.mark.parametrize(
+    "cfg,root_bound,search_budget",
+    [
+        (SamplerConfig(n=3, word_length=2, min_canonical_length=2, seed=5), 2, O.DEFAULT_SEARCH_BUDGET),
+        # 6-letter secrets at n=8: a block of 4 strands has 23,437 words of at
+        # most 6 letters, so both block searches fit in the budget.
+        (SamplerConfig(n=8, word_length=6, min_canonical_length=1, seed=1), 6, 100_000),
+    ],
+    ids=["n3-L2", "n8-L6"],
+)
+def test_root_attack_breaks_toy_parameters(cfg, root_bound, search_budget):
+    keys = P.keygen1(cfg, 2, 2, DeterministicRng(cfg.seed, "kg"))
     report = O.impersonation_experiment(
-        keys, O.STRATEGY_ROOT, 20, DeterministicRng(6), sampler=cfg, root_bound=2
+        keys, O.STRATEGY_ROOT, 20, DeterministicRng(6), sampler=cfg,
+        root_bound=root_bound, search_budget=search_budget,
     )
     assert report.successes == report.trials == 20
     assert report.rate == 1.0
+    a, b = O.recover_scheme1_secrets(keys.public, root_bound, max_candidates=search_budget)
+    assert B.equals(B.multiply(B.power(a, 2), B.power(b, 2)), keys.public.X)
 
 
 def test_root_attack_fails_at_real_parameters():
