@@ -52,9 +52,9 @@ from .sampling import SamplerConfig
 # - 1024 factors bounds the size of X and of scheme 2's base, which every
 #   round multiplies in.
 # One thread runs every session's steps, so a session at all of these limits
-# delays the others by its whole step: with a 1,024-factor key and challenge
-# length 32, expected digest plus next challenge took 0.9-2.0 s per round
-# (Python 3.11, one core of a 2-vCPU Xeon VM).
+# delays the others by its whole step: with 1,024-factor key braids and
+# challenge length 32, expected digest plus next challenge took 1.4-2.8 s per
+# round (both schemes; Python 3.11, one core of a 2-vCPU Xeon VM).
 MAX_EXPONENT = 64
 MAX_SERVED_STRANDS = 64
 MAX_KEY_FACTORS = 1024

@@ -491,7 +491,7 @@ def _kernel_cold(a, b):
 
 
 def test_pair_kernel_matches_reference_exhaustive_small():
-    for n in (4, 5):
+    for n in (2, 3, 4, 5):
         tables = list(itertools.permutations(range(n)))
         for a in tables:
             for b in tables:
@@ -518,6 +518,43 @@ def test_pair_kernel_matches_reference_random(rng):
             assert _kernel_cold(a, b) == _reference_rebalance(a, b), (a, b)
         for a, b in zip(x.factors, x.factors[1:]):
             assert _kernel_cold(a, b) is None
+
+
+def _swapped(table, rng, swaps):
+    """``table`` with ``swaps`` random pairs of adjacent entries exchanged."""
+    table = list(table)
+    for _ in range(swaps):
+        i = rng.randrange(len(table) - 1)
+        table[i], table[i + 1] = table[i + 1], table[i]
+    return tuple(table)
+
+
+def test_pair_kernel_matches_reference_near_identity_and_half_twist(rng):
+    # Real factors sit near the identity or near the half twist, so most
+    # strands of a pair reach no strand above them or all of them, and the
+    # kernel settles those without its closure loop. These pairs take both
+    # shortcuts and the loop.
+    for n in (8, 16, 64):
+        near_id = [_swapped(perms.identity(n), rng, k) for k in (1, 3, n // 4)]
+        near_twist = [_swapped(perms.reversal(n), rng, k) for k in (1, 3, n // 4)]
+        for a, b in itertools.product(near_id + near_twist, repeat=2):
+            assert _kernel_cold(a, b) == _reference_rebalance(a, b), (a, b)
+    # At the widest strand count only pairs with a short meet, so that the
+    # reference, which moves one generator at a time, stays fast. The last
+    # pair's top 32 strands reach no strand above them.
+    n = 1024
+    near_id = [_swapped(perms.identity(n), rng, k) for k in (1, 3, 64)]
+    near_twist = [_swapped(perms.reversal(n), rng, k) for k in (1, 3, 64)]
+    pairs = [
+        *itertools.product(near_twist, near_id + near_twist),
+        *itertools.product(near_id, repeat=2),
+        (
+            tuple(range(n - 32, n)) + tuple(range(n - 33, -1, -1)),
+            tuple(range(n - 32)) + tuple(range(n - 1, n - 33, -1)),
+        ),
+    ]
+    for a, b in pairs:
+        assert _kernel_cold(a, b) == _reference_rebalance(a, b), (a, b)
 
 
 def _weight(n):
