@@ -258,16 +258,13 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 # narrow widths identical factor pairs recur constantly, so pairs on at most
 # _MEMO_STRANDS strands are memoized, one row per left factor:
 # _PAIR_MEMO[a][b]. None means the pair was already left weighted. Wider
-# pairs go straight to _meet. Skipping the memo, interleaved in one process
-# with identical outputs, made n=8 verifier rounds 3.2x slower and n=10
-# rounds 1.28x slower; it was neutral at n=12 (0.96x) and n=16 (0.95-0.98x)
-# and faster at n=32/L=64 (0.89x) and n=64/L=64 (0.97x), where hits are rare
-# and short range. So wide sessions neither fill the memo nor clear it. The
-# memo is cleared before an insert would take the weights of its pairs past
-# _PAIR_MEMO_BUDGET, an n-strand pair weighing n * max(n, 8). So it keeps
-# 2^17 pairs at n=8 and 2^15 at n=16, and below n=8 the 2^20 // n pairs of a
-# budget of 2^20 table entries; it never holds more than 2^20 table entries
-# in all. The kernel's outputs for memoized pairs are interned in
+# pairs go straight to _meet, neither stored nor pooled. The cut is where the
+# memo stops paying: skipping it (L=32 rounds interleaved in one process,
+# identical outputs, the memo cold or warm) took 1.4-2.0x the CPU at n=9 and
+# 1.2-1.4x at n=10, but 1.0x at n=11, 0.96-0.99x at n=12 and 0.87-0.90x at
+# n=16. The memo is cleared before an insert would take it past
+# _PAIR_MEMO_BUDGET table entries, a pair on n strands weighing n: 2^17 pairs
+# at n=8. The kernel's outputs for memoized pairs are interned in
 # _TABLE_POOL, so the memo and the factor lists built from it share one tuple
 # per distinct table, and later lookups with those tables match keys by
 # identity. The pool is emptied with the memo. Threads share both without a
@@ -276,15 +273,16 @@ def permutation_to_braidword(table: Sequence[int]) -> BraidWord:
 _PAIR_MEMO: dict[PermTable, dict[PermTable, "tuple[PermTable, PermTable] | None"]] = {}
 _TABLE_POOL: dict[PermTable, PermTable] = {}
 _pair_memo_weight = 0
-_PAIR_MEMO_BUDGET = 1 << 23
-_MEMO_STRANDS = 16
+_PAIR_MEMO_BUDGET = 1 << 20
+_MEMO_STRANDS = 10
 _MISS = object()
 _BIT = tuple(1 << i for i in range(MAX_STRANDS + 1))
 _LOW = tuple(bit - 1 for bit in _BIT)
 
 
 def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] | None":
-    """:func:`_meet`, memoized for pairs on at most ``_MEMO_STRANDS`` strands."""
+    """:func:`_meet`, memoized for pairs on at most ``_MEMO_STRANDS`` strands
+    under one bound of ``_PAIR_MEMO_BUDGET`` table entries (n per pair)."""
     global _pair_memo_weight
     n = len(a)
     if n > _MEMO_STRANDS:
@@ -294,8 +292,7 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
         cached = row.get(b, _MISS)
         if cached is not _MISS:
             return cached  # type: ignore[return-value]
-    weight = n * max(n, 8)
-    if _pair_memo_weight + weight > _PAIR_MEMO_BUDGET:
+    if _pair_memo_weight + n > _PAIR_MEMO_BUDGET:
         # Reset the weight first: an insert another thread makes in between
         # lands in the memo about to be cleared, not in the fresh one uncounted.
         _pair_memo_weight = 0
@@ -310,7 +307,7 @@ def _rebalance_pair(a: PermTable, b: PermTable) -> "tuple[PermTable, PermTable] 
     if row is None:
         row = _PAIR_MEMO.setdefault(a, {})
     row[b] = result
-    _pair_memo_weight += weight
+    _pair_memo_weight += n
     return result
 
 

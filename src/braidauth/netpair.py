@@ -45,7 +45,7 @@ from .sampling import SamplerConfig
 #   quadratically with the exponent (a 9-factor n=8 braid: 1.7 ms at 32,
 #   6.3 ms at 64, with its cache cleared);
 # - the pair memo holds at most 2^20 table entries, all of pairs on at most
-#   16 strands, so wider sessions add nothing to it; at 64 strands flip keeps
+#   10 strands, so wider sessions add nothing to it; at 64 strands flip keeps
 #   256 tables (0.3 MB), left_complement 2,048 (2.5 MB) and power 256 entries
 #   of 70-210 KB at exponent 64, about 50 MB (all arithmetic from table sizes
 #   and measured factor counts);

@@ -100,9 +100,9 @@ def _root_search(
     use_filter: bool,
 ) -> CanonicalForm | None:
     n = y.n
-    if use_filter and canonical_exponent_sum(y) % e != 0:
+    target_sum = canonical_exponent_sum(y) if use_filter else 0
+    if target_sum % e != 0:
         return None
-    target_sum = canonical_exponent_sum(y)
     for letters in iter_reduced_words(n, max_word_length, indices):
         countdown.tick()
         if use_filter and sum(s for _, s in letters) * e != target_sum:

@@ -558,70 +558,94 @@ def test_pair_kernel_matches_reference_near_identity_and_half_twist(rng):
 
 
 def _weight(n):
-    return n * max(n, 8)
+    return n
 
 
 def _cap(n):
     return B._PAIR_MEMO_BUDGET // _weight(n)
 
 
+def _moving_pair(rng, n):
+    """A random pair on ``n`` strands that the kernel does not leave alone."""
+    while True:
+        a, b = (tuple(rng.sample(range(n), n)) for _ in range(2))
+        if _reference_rebalance(a, b) is not None:
+            return a, b
+
+
 def test_pair_memo_is_bounded_by_table_entries(rng, monkeypatch):
-    assert _cap(8) == 1 << 17 and _cap(16) == 1 << 15
+    assert _cap(8) == 1 << 17 and _cap(10) == (1 << 20) // 10
     # Below 8 strands a pair weighs as it did under a budget of 2^20 entries.
     assert _cap(6) == (1 << 20) // 6
-    # Pairs on more than 16 strands are neither memoized nor pooled.
+    # Pairs on more than 10 strands are neither memoized nor pooled.
     _fresh_pair_memo(monkeypatch)
     calls = _count_pairs(monkeypatch)
-    for _ in range(6):
-        B.normalize(random_braid_word(rng, 256, 48))
-    assert len(calls) > 20
+    for n in (11, 16, 256):
+        for _ in range(6):
+            B.normalize(random_braid_word(rng, n, 48))
+    assert len(calls) > 60
     assert B._PAIR_MEMO == {} and B._TABLE_POOL == {} and B._pair_memo_weight == 0
     # Widths share the one budget: their pairs' weights never sum past it.
-    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(16) * 16)
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(10) * 64)
     largest = 0
-    for n in (8, 16) * 3:
+    for n in (8, 10) * 3:
         B.normalize(random_braid_word(rng, n, 48))
         largest = max(largest, _memo_weight())
         assert _memo_weight() == B._pair_memo_weight <= B._PAIR_MEMO_BUDGET
     assert largest > B._PAIR_MEMO_BUDGET // 2
 
 
-def test_wide_pairs_leave_narrow_memo_rows_alone(rng, monkeypatch):
-    # 2^11 n=64 pairs would weigh the whole budget of 2^23 if they were kept.
+def test_pair_memo_cut_is_at_ten_strands(rng, monkeypatch):
     _fresh_pair_memo(monkeypatch)
+    a, b = _moving_pair(rng, 10)
+    res = B._rebalance_pair(a, b)
+    assert B._PAIR_MEMO == {a: {b: res}} and B._pair_memo_weight == _weight(10)
+    assert set(B._TABLE_POOL) == set(res)
+    for _ in range(20):
+        B._rebalance_pair(*_moving_pair(rng, 11))
+    assert B._PAIR_MEMO == {a: {b: res}} and B._pair_memo_weight == _weight(10)
+    assert set(B._TABLE_POOL) == set(res)
+
+
+def test_wide_pairs_leave_narrow_memo_rows_alone(rng, monkeypatch):
+    # 1,000 n=8 pairs fill all but 192 entries of the budget, which 256 pairs
+    # of any width above 10 would pass if they were kept.
+    _fresh_pair_memo(monkeypatch)
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(8) * 1024)
     tables = list(itertools.permutations(range(8)))
     for k in range(0, 40000, 40):
         B._rebalance_pair(tables[k], tables[-1 - k])
     rows = {a: dict(row) for a, row in B._PAIR_MEMO.items()}
     weight = B._pair_memo_weight
     assert weight == 1000 * _weight(8)
-    wide = list(range(64))
-    for _ in range(1 << 11):
-        rng.shuffle(wide)
-        a = tuple(wide)
-        rng.shuffle(wide)
-        B._rebalance_pair(a, tuple(wide))
-    assert B._PAIR_MEMO == rows and B._pair_memo_weight == weight
+    for n in (11, 16, 64):
+        wide = list(range(n))
+        for _ in range(256):
+            rng.shuffle(wide)
+            a = tuple(wide)
+            rng.shuffle(wide)
+            B._rebalance_pair(a, tuple(wide))
+        assert B._PAIR_MEMO == rows and B._pair_memo_weight == weight, n
     held = list(B._TABLE_POOL)
     for a, row in B._PAIR_MEMO.items():
         for b, res in row.items():
             held += [a, b, *(res or ())]
-    assert max(len(t) for t in held) <= 16
+    assert max(len(t) for t in held) <= 10
 
 
 def test_pair_memo_clears_before_an_insert_would_pass_the_budget(rng, monkeypatch):
-    # 1,023 pairs at n=8 weigh 65,472 of a 256-pair n=16 budget (65,536); one
-    # n=16 pair more would take the memo to 65,728, so it clears first.
+    # 1,023 pairs at n=8 weigh 8,184 of a 1,024-pair n=8 budget (8,192); one
+    # n=10 pair more would take the memo to 8,194, so it clears first.
     _fresh_pair_memo(monkeypatch)
-    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(16) * 256)
+    monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(8) * 1024)
     tables = list(itertools.permutations(range(8)))
     for k in range(1023):
         B._rebalance_pair(tables[k], tables[-1 - k])
-    assert B._pair_memo_weight == 65472 == _memo_weight()
-    wide = list(range(16))
+    assert B._pair_memo_weight == 8184 == _memo_weight()
+    wide = list(range(10))
     rng.shuffle(wide)
-    B._rebalance_pair(perms.reversal(16), tuple(wide))
-    assert B._pair_memo_weight == _weight(16) == _memo_weight() <= B._PAIR_MEMO_BUDGET
+    B._rebalance_pair(perms.reversal(10), tuple(wide))
+    assert B._pair_memo_weight == _weight(10) == _memo_weight() <= B._PAIR_MEMO_BUDGET
     assert _memo_pairs() == 1
 
 
@@ -662,17 +686,9 @@ def test_equal_kernel_outputs_are_one_object(monkeypatch):
 def test_table_pool_is_emptied_with_the_memo(rng, monkeypatch):
     _fresh_pair_memo(monkeypatch)
     monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(8) * 8)
-
-    def shuffled():
-        table = list(range(8))
-        rng.shuffle(table)
-        return tuple(table)
-
     moved = set()
     while len(moved) < 9:
-        a, b = shuffled(), shuffled()
-        if _reference_rebalance(a, b) is not None:
-            moved.add((a, b))
+        moved.add(_moving_pair(rng, 8))
     *first, last = moved
     for a, b in first:
         B._rebalance_pair(a, b)
@@ -685,9 +701,9 @@ def test_table_pool_is_emptied_with_the_memo(rng, monkeypatch):
 
 def test_shared_pair_memo_under_thread_switches(rng, monkeypatch):
     _fresh_pair_memo(monkeypatch)
-    # 64 pairs at n=8 or 16 at n=16; two widths in flight fill it together.
+    # 64 pairs at n=8 or 51 at n=10; two widths in flight fill it together.
     monkeypatch.setattr(B, "_PAIR_MEMO_BUDGET", _weight(8) * 64)
-    words = [random_braid_word(rng, n, 48) for _ in range(12) for n in (8, 16)]
+    words = [random_braid_word(rng, n, 48) for _ in range(12) for n in (8, 10)]
     expected = [B.normalize(w) for w in words]
     wrong = []
     errors = []
@@ -723,7 +739,7 @@ def test_shared_pair_memo_under_thread_switches(rng, monkeypatch):
     # Threads that passed the limit check together may each add one pair, and
     # so may each thread that still holds a row the clear dropped.
     budget = B._PAIR_MEMO_BUDGET
-    assert budget // 2 < largest <= budget + 2 * len(threads) * _weight(16)
+    assert budget // 2 < largest <= budget + 2 * len(threads) * _weight(10)
 
 
 # ---------------------------------------------------------------------------
